@@ -14,7 +14,6 @@ from .data import (
     SplitSpec,
     WindowPair,
     batch_indices,
-    batches,
     load_csv,
     save_csv,
     select_feature,
@@ -30,14 +29,11 @@ from .evaluation import (
     evaluate,
     generalization_gap,
     loss_slice,
-    per_step_error,
 )
 from .nn import (
     ACTIVATIONS,
     ModelParams,
-    mlp_backward,
     mlp_backward_batch,
-    mlp_forward,
     mlp_forward_batch,
     new_forecaster,
 )
@@ -45,16 +41,11 @@ from .objectives import (
     OBJECTIVE_KINDS,
     ObjectiveKind,
     RiskMatrix,
-    constant_flooding_objective,
     flood_elementwise,
-    flooding_objective,
-    gradient_sign_mask,
     objective_mask,
     objective_value,
     per_element_risk,
     wave_elementwise,
-    wave_objective_avg,
-    wave_objective_indiv,
 )
 from .rng import Rng
 from .theorem import (

@@ -33,7 +33,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericError, WaveboundError
 from .evaluation import evaluate, generalization_gap
-from .objectives import OBJECTIVE_KINDS, ObjectiveKind
+from .objectives import ObjectiveKind
 from .theorem import LinearGaussianPopulation, OracleInstance, run_full_oracle
 from .trainer import SWEEP_PARAMS, TrainConfig, sweep, train
 
@@ -157,18 +157,13 @@ def _ensure_out(path) -> str:
     return path
 
 
-def _objective_from(cfg: dict[str, str]) -> ObjectiveKind:
-    kind = cfg["objective"]
-    if kind not in OBJECTIVE_KINDS:
-        raise ConfigError(f"objective must be one of {OBJECTIVE_KINDS}, got {kind!r}")
-    return ObjectiveKind(kind, b=_as_float(cfg, "b"), epsilon=_as_float(cfg, "epsilon"))
-
-
 def _train_config(cfg: dict[str, str]) -> TrainConfig:
     return TrainConfig(
         input_len=_as_int(cfg, "input_len"),
         output_len=_as_int(cfg, "output_len"),
-        objective=_objective_from(cfg),
+        objective=ObjectiveKind(
+            cfg["objective"], b=_as_float(cfg, "b"), epsilon=_as_float(cfg, "epsilon")
+        ),
         batch_size=_as_int(cfg, "batch_size"),
         learning_rate=_as_float(cfg, "learning_rate"),
         ema_decay=_as_float(cfg, "ema_decay"),

@@ -145,9 +145,11 @@ def load_csv(path) -> SeriesDataset:
     """Read a series CSV: header row, timestamp first column, numeric rest.
 
     The timestamp column is ignored for modeling.  Rows are kept in file
-    order.  Ragged rows and unparseable numeric cells are hard errors.
+    order.  Ragged rows, unparseable numeric cells and non-finite values
+    (nan, inf) are hard errors that name the file row and column.
     """
     rows = []
+    blank_lines = []
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -163,6 +165,7 @@ def load_csv(path) -> SeriesDataset:
         width = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
+                blank_lines.append(lineno)
                 continue
             if len(row) != width:
                 raise DataError(f"{path}: row {lineno}: expected {width} columns, got {len(row)}")
@@ -177,7 +180,17 @@ def load_csv(path) -> SeriesDataset:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: empty dataset")
-    return SeriesDataset(np.asarray(rows, dtype=np.float64), header[1:])
+    values = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        index, col = np.argwhere(~finite)[0]
+        lineno = index + 2
+        for blank in blank_lines:  # ascending, so each shifts the later rows
+            if blank <= lineno:
+                lineno += 1
+        bad = float(values[index, col])
+        raise DataError(f"{path}: row {lineno}, column {col + 2}: non-finite value {bad!r}")
+    return SeriesDataset(values, header[1:])
 
 
 def save_csv(dataset: SeriesDataset, path) -> None:
@@ -284,13 +297,3 @@ def batch_indices(
     else:
         order = np.arange(count)
     return [order[i : i + batch_size] for i in range(0, count, batch_size)]
-
-
-def batches(
-    windows: list[WindowPair], batch_size: int, rng: Rng | None = None, shuffle: bool = False
-) -> list[list[WindowPair]]:
-    """Window-list view of batch_indices, same order contract."""
-    return [
-        [windows[i] for i in idx]
-        for idx in batch_indices(len(windows), batch_size, rng, shuffle)
-    ]

@@ -48,11 +48,6 @@ def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> Metri
     )
 
 
-def per_step_error(params: ModelParams, past: np.ndarray, future: np.ndarray) -> np.ndarray:
-    """MSE at each forecast horizon step; its mean equals the overall MSE."""
-    return evaluate(params, past, future).per_step_mse
-
-
 def generalization_gap(log) -> np.ndarray:
     """Per-epoch (test MSE - train MSE) series from a training log."""
     records = log.records

@@ -99,9 +99,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return self.with_tensors([t.copy() for t in self.tensors()])
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(t).all() for t in self.tensors())
-
 
 def new_forecaster(
     input_len: int,
@@ -139,15 +136,11 @@ def _activate_grad(name: str, h: np.ndarray) -> np.ndarray:
     return 1.0 - h * h if name == "tanh" else np.ones_like(h)
 
 
-def _check_input(params: ModelParams, x: np.ndarray, batched: bool) -> np.ndarray:
+def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     want = params.input_shape
-    if batched:
-        if x.ndim != 3 or x.shape[1:] != want:
-            raise ConfigError(f"expected batched input (n, {want[0]}, {want[1]}), got {x.shape}")
-    else:
-        if x.shape != want:
-            raise ConfigError(f"expected input of shape {want}, got {x.shape}")
+    if x.ndim != 3 or x.shape[1:] != want:
+        raise ConfigError(f"expected batched input (n, {want[0]}, {want[1]}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ConfigError("input contains non-finite values")
     return x
@@ -165,18 +158,12 @@ def _forward_flat(params: ModelParams, flat: np.ndarray) -> list[np.ndarray]:
 
 def mlp_forward_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """(n, L, K) -> (n, M, K)."""
-    inputs = _check_input(params, inputs, batched=True)
+    inputs = _check_input(params, inputs)
     n = inputs.shape[0]
     flat = inputs.reshape(n, -1)
     out = _forward_flat(params, flat)[-1]
     m, k = params.output_shape
     return out.reshape(n, m, k)
-
-
-def mlp_forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
-    """(L, K) -> (M, K)."""
-    window = _check_input(params, window, batched=False)
-    return mlp_forward_batch(params, window[None])[0]
 
 
 def mlp_backward_batch(
@@ -187,7 +174,7 @@ def mlp_backward_batch(
     inputs (n, L, K), upstream (n, M, K); returns tensors in
     ModelParams.tensors() order: [dw0, db0, dw1, db1, ...].
     """
-    inputs = _check_input(params, inputs, batched=True)
+    inputs = _check_input(params, inputs)
     upstream = np.asarray(upstream, dtype=np.float64)
     n = inputs.shape[0]
     m, k = params.output_shape
@@ -208,14 +195,3 @@ def mlp_backward_batch(
             )
     grads.reverse()
     return grads
-
-
-def mlp_backward(params: ModelParams, window: np.ndarray, upstream: np.ndarray) -> list[np.ndarray]:
-    """Single-window reverse pass; see mlp_backward_batch."""
-    window = _check_input(params, window, batched=False)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != params.output_shape:
-        raise ConfigError(
-            f"expected upstream of shape {params.output_shape}, got {upstream.shape}"
-        )
-    return mlp_backward_batch(params, window[None], upstream[None])

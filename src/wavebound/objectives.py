@@ -4,27 +4,29 @@ For a batch of N prediction/target pairs of shape (M, K), the per-element
 risk matrix holds the batch mean of squared errors at each prediction step j
 and feature k; its grand mean is the ordinary MSE.
 
-Objectives, as functions of the per-element risks r_jk (source) and, for the
-wavebound variants, the target network's risks r*_jk:
+Every objective is one fold, mean(|A - beta| + beta), of the per-element
+risks r_jk (source) and, for the wavebound variants, the target network's
+risks r*_jk.  A is r itself or its grand mean; beta is the bound:
 
-  plain               mean_jk r_jk
-  flooding(b)         |mean_jk r_jk - b| + b
-  constant_flooding(b) mean_jk (|r_jk - b| + b)
-  wave_avg(eps)       |mean r - mean r* + eps| + (mean r* - eps)
-  wave_indiv(eps)     mean_jk (|r_jk - (r*_jk - eps)| + (r*_jk - eps))
+  objective             A          beta
+  plain                 r_jk       -inf
+  flooding(b)           mean r     b
+  constant_flooding(b)  r_jk       b
+  wave_avg(eps)         mean r     mean r* - eps
+  wave_indiv(eps)       r_jk       r*_jk - eps
 
-The additive constant outside each absolute value does not change gradients;
+The additive constant outside the absolute value does not change gradients;
 it is kept so the reported value equals the raw risk whenever the risk sits
-above its bound.  All |r - b| + b terms are evaluated piecewise (r when
-r >= b, else 2b - r), which makes the above-bound branch bit-exact and keeps
-an infinite-epsilon sentinel (bound = -inf) from producing NaN.  Target
+above its bound.  The fold is evaluated piecewise (A when A >= beta, else
+2*beta - A), which makes the above-bound branch bit-exact and keeps an
+infinite-epsilon sentinel (beta = -inf) from producing NaN.  Target
 risks are constants under differentiation: no gradient flows into the
 network that produced them.  Effective bounds may be negative; nothing is
 clamped.
 
 Gradient handling reduces to a sign mask: the derivative of each objective
-w.r.t. r_jk is +1 when the risk sits at or above its bound (descent) and -1
-below it (ascent).  Exact ties resolve to +1.
+w.r.t. r_jk is +1 when A sits at or above beta (descent) and -1 below it
+(ascent).  Exact ties resolve to +1.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ class ObjectiveKind:
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
-            raise ConfigError(f"unknown objective {self.kind!r}")
-        if self.b < 0.0:
-            raise ConfigError("flood level b must be >= 0")
-        if self.epsilon < 0.0:
-            raise ConfigError("epsilon must be >= 0")
+            raise ConfigError(f"objective must be one of {OBJECTIVE_KINDS}, got {self.kind!r}")
+        # Written so that NaN fails too; epsilon = +inf stays legal (bound -inf).
+        if not self.b >= 0.0:
+            raise ConfigError(f"flood level b must be >= 0, got {self.b!r}")
+        if not self.epsilon >= 0.0:
+            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
 
     @classmethod
     def plain(cls) -> "ObjectiveKind":
@@ -127,16 +130,6 @@ def flood_elementwise(values: np.ndarray, bound) -> np.ndarray:
     return np.where(values >= bound, values, 2.0 * np.asarray(bound) - values)
 
 
-def flooding_objective(risk_mean: float, b: float) -> float:
-    """|R - b| + b: the risk itself above the flood level, reflected below."""
-    return risk_mean if risk_mean >= b else 2.0 * b - risk_mean
-
-
-def constant_flooding_objective(risk: RiskMatrix, b: float) -> float:
-    """Element-wise flooding at a shared level b, then the grand mean."""
-    return float(flood_elementwise(risk.values, b).mean())
-
-
 def wave_elementwise(source_values: np.ndarray, target_values: np.ndarray, epsilon: float) -> np.ndarray:
     """Element-wise risk flooded at the dynamic bound target - epsilon."""
     source_values = np.asarray(source_values, dtype=np.float64)
@@ -148,68 +141,43 @@ def wave_elementwise(source_values: np.ndarray, target_values: np.ndarray, epsil
     return flood_elementwise(source_values, target_values - epsilon)
 
 
-def wave_objective_indiv(source: RiskMatrix, target: RiskMatrix, epsilon: float) -> float:
-    """Element-wise dynamic bound r*_jk - eps from the target network.
+def _fold(kind: ObjectiveKind, source: RiskMatrix, target: RiskMatrix | None):
+    """(A, beta) such that the objective is mean(|A - beta| + beta).
 
-    Target risks are constants here; the caller must not route gradients
-    through them.
+    A is the risk matrix itself or its grand mean (a scalar); beta is a
+    scalar or an (M, K) matrix of bounds.
     """
-    return float(wave_elementwise(source.values, target.values, epsilon).mean())
-
-
-def wave_objective_avg(source_mean: float, target_mean: float, epsilon: float) -> float:
-    """Scalar variant: one dynamic bound on the batch-mean risk."""
-    bound = target_mean - epsilon
-    return source_mean if source_mean >= bound else 2.0 * bound - source_mean
-
-
-def gradient_sign_mask(source: RiskMatrix, target: RiskMatrix, epsilon: float) -> np.ndarray:
-    """+1 where r_jk >= r*_jk - eps (descent), -1 below (ascent).
-
-    Ties at the bound resolve to +1.  The trainer multiplies the per-element
-    MSE upstream gradients by this mask scaled by 1/(M*K).
-    """
+    if kind.kind == "plain":
+        return source.values, -np.inf
+    if kind.kind == "flooding":
+        return source.mean, kind.b
+    if kind.kind == "constant_flooding":
+        return source.values, kind.b
+    if target is None:
+        raise ConfigError(f"{kind.kind} needs a target risk matrix")
+    if kind.kind == "wave_avg":
+        return source.mean, target.mean - kind.epsilon
     if source.values.shape != target.values.shape:
         raise ConfigError(
             f"source risk shape {source.values.shape} != target {target.values.shape}"
         )
-    return np.where(source.values >= target.values - epsilon, 1.0, -1.0)
-
-
-def _sign_at_or_above(x: float, bound: float) -> float:
-    return 1.0 if x >= bound else -1.0
+    return source.values, target.values - kind.epsilon
 
 
 def objective_value(
     kind: ObjectiveKind, source: RiskMatrix, target: RiskMatrix | None = None
 ) -> float:
     """Scalar training objective for one batch."""
-    if kind.needs_target and target is None:
-        raise ConfigError(f"{kind.kind} needs a target risk matrix")
-    if kind.kind == "plain":
-        return source.mean
-    if kind.kind == "flooding":
-        return flooding_objective(source.mean, kind.b)
-    if kind.kind == "constant_flooding":
-        return constant_flooding_objective(source, kind.b)
-    if kind.kind == "wave_avg":
-        return wave_objective_avg(source.mean, target.mean, kind.epsilon)
-    return wave_objective_indiv(source, target, kind.epsilon)
+    folded, bound = _fold(kind, source, target)
+    return float(flood_elementwise(folded, bound).mean())
 
 
 def objective_mask(
     kind: ObjectiveKind, source: RiskMatrix, target: RiskMatrix | None = None
 ) -> np.ndarray:
-    """(M, K) matrix of +-1: the objective's derivative w.r.t. each r_jk."""
-    if kind.needs_target and target is None:
-        raise ConfigError(f"{kind.kind} needs a target risk matrix")
-    shape = source.values.shape
-    if kind.kind == "plain":
-        return np.ones(shape)
-    if kind.kind == "flooding":
-        return np.full(shape, _sign_at_or_above(source.mean, kind.b))
-    if kind.kind == "constant_flooding":
-        return np.where(source.values >= kind.b, 1.0, -1.0)
-    if kind.kind == "wave_avg":
-        return np.full(shape, _sign_at_or_above(source.mean, target.mean - kind.epsilon))
-    return gradient_sign_mask(source, target, kind.epsilon)
+    """(M, K) matrix of +-1: the objective's derivative w.r.t. each r_jk.
+
+    A scalar fold (flooding, wave_avg) gives every element the same sign.
+    """
+    folded, bound = _fold(kind, source, target)
+    return np.full(source.values.shape, np.where(folded >= bound, 1.0, -1.0))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .objectives import flooding_objective, wave_elementwise
+from .objectives import flood_elementwise, wave_elementwise
 from .rng import Rng
 
 
@@ -263,9 +263,9 @@ def jensen_violations(
     rhs = np.tensordot(weights, wave_elementwise(src, tgt, epsilon), axes=1)
     count = int(np.count_nonzero(lhs > rhs + tol))
 
-    lhs_flood = flooding_objective(float(pooled_src.mean()), flood_b)
+    lhs_flood = float(flood_elementwise(pooled_src.mean(), flood_b))
     rhs_flood = float(
-        sum(w * flooding_objective(float(s.mean()), flood_b) for w, s in zip(weights, src))
+        sum(w * float(flood_elementwise(s.mean(), flood_b)) for w, s in zip(weights, src))
     )
     if lhs_flood > rhs_flood + tol:
         count += 1

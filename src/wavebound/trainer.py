@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adam import adam_init, adam_step
-from .data import WindowPair, batch_indices, stack_windows
+from .data import batch_indices
 from .ema import EmaMirror, ema_init, ema_update
 from .errors import ConfigError, NumericError
 from .evaluation import evaluate
@@ -61,8 +61,8 @@ class TrainConfig:
             raise ConfigError("window lengths must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not self.learning_rate >= 0:  # NaN fails too
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
         if self.patience < 1:
@@ -143,16 +143,11 @@ class TrainResult:
     final_mirror: EmaMirror
 
 
-def _as_arrays(window_set) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(window_set, tuple):
-        past, future = window_set
-        return np.asarray(past, dtype=np.float64), np.asarray(future, dtype=np.float64)
-    if isinstance(window_set, list) and (not window_set or isinstance(window_set[0], WindowPair)):
-        return stack_windows(window_set)
-    raise ConfigError("window set must be a (past, future) tuple or a list of WindowPair")
-
-
-def _check_set(name: str, past: np.ndarray, future: np.ndarray, config: TrainConfig) -> None:
+def _window_set(name: str, window_set, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Checked float64 (past, future) arrays of one stacked window set."""
+    if not isinstance(window_set, tuple):
+        raise ConfigError(f"{name} set must be a stacked (past, future) tuple")
+    past, future = (np.asarray(a, dtype=np.float64) for a in window_set)
     if past.shape[0] < 1:
         raise ConfigError(f"{name} set is empty")
     if past.ndim != 3 or future.ndim != 3 or past.shape[0] != future.shape[0]:
@@ -162,19 +157,14 @@ def _check_set(name: str, past: np.ndarray, future: np.ndarray, config: TrainCon
             f"{name} set window lengths {past.shape[1]}/{future.shape[1]} do not match "
             f"config {config.input_len}/{config.output_len}"
         )
+    return past, future
 
 
 def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelParams | None = None) -> TrainResult:
     """Run the loop; return best-validation parameters, mirror, and log."""
-    train_past, train_future = _as_arrays(train_set)
-    val_past, val_future = _as_arrays(val_set)
-    test_past, test_future = _as_arrays(test_set)
-    for name, past, future in (
-        ("train", train_past, train_future),
-        ("validation", val_past, val_future),
-        ("test", test_past, test_future),
-    ):
-        _check_set(name, past, future, config)
+    train_past, train_future = _window_set("train", train_set, config)
+    val_past, val_future = _window_set("validation", val_set, config)
+    test_past, test_future = _window_set("test", test_set, config)
     n_features = train_past.shape[2]
 
     rng = Rng(config.seed)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -151,6 +152,29 @@ class TestTrain:
             "--set", "data=csv", "--set", f"csv_path={tmp_path / 'no.csv'}", *SMALL,
         )
         assert code == 3
+
+    def test_non_finite_csv_cell_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        rows = [f"{i},{math.sin(i / 5.0)!r}" for i in range(120)]
+        rows[50] = "50,nan"
+        path.write_text("date,x\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "train", "--out", str(tmp_path / "x"),
+            "--set", "data=csv", "--set", f"csv_path={path}", *SMALL,
+        )
+        assert code == 3
+        assert "row 52, column 2: non-finite value nan" in stderr
+
+    @pytest.mark.parametrize(
+        "objective,key", [("flooding", "b"), ("wave_indiv", "epsilon"), ("plain", "learning_rate")]
+    )
+    def test_nan_hyperparameter_is_config_error(self, tmp_path, capsys, objective, key):
+        code, _, stderr = run_cli(
+            capsys, "train", "--out", str(tmp_path / "x"), *SMALL,
+            "--set", f"objective={objective}", "--set", f"{key}=nan",
+        )
+        assert code == 2
+        assert f"{key} must be >= 0, got nan" in stderr
 
     def test_window_longer_than_segment_is_data_error(self, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -8,7 +8,6 @@ from wavebound import (
     SeriesDataset,
     SplitSpec,
     batch_indices,
-    batches,
     load_csv,
     save_csv,
     select_feature,
@@ -65,6 +64,15 @@ class TestLoadCsv:
     def test_unparseable_cell_names_row_and_column(self, tmp_path):
         path = self.write(tmp_path, "date,a,b\nx,1.0,2.0\ny,oops,4.0\n")
         with pytest.raises(DataError, match=r"row 3, column 2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        # the blank line 3 is skipped, so the bad cell sits on file row 4
+        path = self.write(tmp_path, f"date,a,b\nx,1.0,2.0\n\ny,3.0,{cell}\nz,5,6\n")
+        with pytest.raises(
+            DataError, match=rf"series\.csv: row 4, column 3: non-finite value {cell}$"
+        ):
             load_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):
@@ -223,13 +231,6 @@ class TestBatches:
     def test_shuffle_without_rng_rejected(self):
         with pytest.raises(ConfigError):
             batch_indices(10, 4, None, shuffle=True)
-
-    def test_window_batches(self):
-        ds = SeriesDataset(np.arange(12, dtype=float)[:, None], ["x"])
-        windows = windowize(ds, 2, 1)
-        got = batches(windows, 4)
-        assert [len(b) for b in got] == [4, 4, 2]
-        assert got[0][0] is windows[0]
 
 
 class TestSelectFeature:

@@ -5,12 +5,15 @@ from wavebound import (
     ConfigError,
     ModelParams,
     Rng,
-    mlp_backward,
     mlp_backward_batch,
-    mlp_forward,
     mlp_forward_batch,
     new_forecaster,
 )
+
+
+def forward_one(model, window):
+    """Single-window forward through the batched path."""
+    return mlp_forward_batch(model, np.asarray(window)[None])[0]
 
 
 def linear_model(weight, bias, input_shape, output_shape) -> ModelParams:
@@ -25,7 +28,7 @@ def linear_model(weight, bias, input_shape, output_shape) -> ModelParams:
 
 def test_forward_single_affine_layer():
     model = linear_model([[2.0]], [0.5], (1, 1), (1, 1))
-    assert mlp_forward(model, np.array([[3.0]])) == pytest.approx(6.5)
+    assert forward_one(model, np.array([[3.0]])) == pytest.approx(6.5)
 
 
 def test_forward_flattening_is_time_major():
@@ -33,17 +36,17 @@ def test_forward_flattening_is_time_major():
     # pins down that (t, k) flattens to t*K + k on both sides
     model = linear_model(np.eye(4), np.zeros(4), (2, 2), (2, 2))
     window = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(mlp_forward(model, window), window)
+    assert np.array_equal(forward_one(model, window), window)
     # selector for flat index 1 must pick entry (t=0, k=1)
     selector = linear_model([[0.0, 1.0, 0.0, 0.0]], [0.0], (2, 2), (1, 1))
-    assert mlp_forward(selector, window)[0, 0] == 2.0
+    assert forward_one(selector, window)[0, 0] == 2.0
 
 
 def test_forward_batch_matches_single():
     rng = Rng(0)
     model = new_forecaster(5, 3, 2, 7, rng.split("init"))
     batch = rng.normal(size=(6, 5, 2))
-    stacked = np.stack([mlp_forward(model, w) for w in batch])
+    stacked = np.stack([forward_one(model, w) for w in batch])
     # matmul accumulation order differs between batch sizes; allow rounding
     assert np.allclose(mlp_forward_batch(model, batch), stacked, rtol=1e-12, atol=1e-14)
 
@@ -86,7 +89,7 @@ def test_shape_validation():
         )
     model = new_forecaster(4, 2, 1, 8, Rng(0))
     with pytest.raises(ConfigError):
-        mlp_forward(model, np.zeros((5, 1)))
+        forward_one(model, np.zeros((5, 1)))
     with pytest.raises(ConfigError):
         mlp_forward_batch(model, np.zeros((2, 4, 2)))
     with pytest.raises(ConfigError):
@@ -97,7 +100,7 @@ def test_non_finite_input_rejected():
     model = new_forecaster(2, 1, 1, 3, Rng(0))
     bad = np.array([[np.nan], [0.0]])
     with pytest.raises(ConfigError):
-        mlp_forward(model, bad)
+        forward_one(model, bad)
 
 
 def numeric_gradient(model, x, upstream, h=1e-6):
@@ -133,14 +136,15 @@ def test_backward_matches_finite_differences(seed):
 
 
 def test_backward_single_window_matches_batch():
+    # the batch gradient is the sum of the one-window gradients
     rng = Rng(3)
     model = new_forecaster(3, 2, 1, 4, rng.split("init"))
-    x = rng.normal(size=(3, 1))
-    upstream = rng.normal(size=(2, 1))
-    single = mlp_backward(model, x, upstream)
-    batched = mlp_backward_batch(model, x[None], upstream[None])
-    for a, b in zip(single, batched):
-        assert np.array_equal(a, b)
+    x = rng.normal(size=(5, 3, 1))
+    upstream = rng.normal(size=(5, 2, 1))
+    singles = [mlp_backward_batch(model, x[i : i + 1], upstream[i : i + 1]) for i in range(5)]
+    batched = mlp_backward_batch(model, x, upstream)
+    for i, b in enumerate(batched):
+        assert np.allclose(sum(s[i] for s in singles), b, rtol=1e-12, atol=1e-14)
 
 
 def test_backward_is_linear_in_upstream():

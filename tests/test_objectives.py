@@ -6,16 +6,11 @@ from wavebound import (
     ObjectiveKind,
     RiskMatrix,
     Rng,
-    constant_flooding_objective,
     flood_elementwise,
-    flooding_objective,
-    gradient_sign_mask,
     objective_mask,
     objective_value,
     per_element_risk,
     wave_elementwise,
-    wave_objective_avg,
-    wave_objective_indiv,
 )
 
 
@@ -59,36 +54,43 @@ class TestPerElementRisk:
             per_element_risk(np.zeros((2, 3, 1)), np.zeros((2, 3, 2)))
 
 
+def value(kind, source, target=None):
+    return objective_value(kind, risk(source), None if target is None else risk(target))
+
+
 class TestFlooding:
     def test_above_flood_level(self):
-        assert flooding_objective(0.5, 0.1) == 0.5
+        assert value(ObjectiveKind.flooding(0.1), [[0.5]]) == 0.5
 
     def test_reflection_below(self):
-        assert flooding_objective(0.05, 0.1) == pytest.approx(0.15, abs=1e-15)
+        assert value(ObjectiveKind.flooding(0.1), [[0.05]]) == pytest.approx(0.15, abs=1e-15)
 
     def test_b_zero_is_identity(self):
         for v in (0.0, 0.3, 1.7):
-            assert flooding_objective(v, 0.0) == v
+            assert value(ObjectiveKind.flooding(0.0), [[v]]) == v
 
     def test_matches_absolute_value_form(self):
         rng = Rng(1)
         for _ in range(200):
             v = float(rng.uniform(0.0, 2.0))
             b = float(rng.uniform(0.0, 1.0))
-            assert flooding_objective(v, b) == pytest.approx(abs(v - b) + b, rel=1e-15)
+            assert value(ObjectiveKind.flooding(b), [[v]]) == pytest.approx(
+                abs(v - b) + b, rel=1e-15
+            )
 
 
 class TestConstantFlooding:
     def test_all_above_equals_plain_mean(self):
         r = risk([[0.5, 0.7], [0.9, 0.6]])
-        assert constant_flooding_objective(r, 0.1) == r.mean
+        assert objective_value(ObjectiveKind.constant_flooding(0.1), r) == r.mean
 
     def test_scalar_reduction(self):
-        r = risk([[0.05]])
-        assert constant_flooding_objective(r, 0.1) == flooding_objective(0.05, 0.1)
+        assert value(ObjectiveKind.constant_flooding(0.1), [[0.05]]) == value(
+            ObjectiveKind.flooding(0.1), [[0.05]]
+        )
 
     def test_hand_case(self):
-        assert constant_flooding_objective(risk([[0.05], [0.5]]), 0.1) == pytest.approx(
+        assert value(ObjectiveKind.constant_flooding(0.1), [[0.05], [0.5]]) == pytest.approx(
             0.325, abs=1e-15
         )
 
@@ -96,45 +98,49 @@ class TestConstantFlooding:
 class TestWaveObjectives:
     def test_equal_risks_bound_inactive(self):
         r = risk([[0.3, 0.2], [0.1, 0.4]])
-        assert wave_objective_indiv(r, r, 0.01) == r.mean
+        assert objective_value(ObjectiveKind.wave_indiv(0.01), r, r) == r.mean
 
     def test_hand_case_indiv(self):
-        got = wave_objective_indiv(risk([[0.1]]), risk([[0.3]]), 0.05)
+        got = value(ObjectiveKind.wave_indiv(0.05), [[0.1]], [[0.3]])
         assert got == pytest.approx(0.40, abs=1e-15)
 
     def test_huge_epsilon_reduces_to_plain(self):
         rng = Rng(2)
         src = risk(rng.uniform(0, 1, size=(3, 2)))
         tgt = risk(rng.uniform(0, 1, size=(3, 2)))
-        assert wave_objective_indiv(src, tgt, 100.0) == src.mean
-        assert wave_objective_indiv(src, tgt, np.inf) == src.mean
+        assert objective_value(ObjectiveKind.wave_indiv(100.0), src, tgt) == src.mean
+        assert objective_value(ObjectiveKind.wave_indiv(np.inf), src, tgt) == src.mean
 
     def test_hand_case_avg(self):
-        assert wave_objective_avg(0.1, 0.3, 0.05) == pytest.approx(0.40, abs=1e-15)
+        assert value(ObjectiveKind.wave_avg(0.05), [[0.1]], [[0.3]]) == pytest.approx(
+            0.40, abs=1e-15
+        )
 
     def test_avg_bound_inactive(self):
-        assert wave_objective_avg(0.5, 0.3, 0.05) == 0.5
-        assert wave_objective_avg(0.2, 0.2, 0.0) == 0.2
+        assert value(ObjectiveKind.wave_avg(0.05), [[0.5]], [[0.3]]) == 0.5
+        assert value(ObjectiveKind.wave_avg(0.0), [[0.2]], [[0.2]]) == 0.2
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
-            wave_objective_indiv(risk([[0.1]]), risk([[0.1, 0.2]]), 0.01)
+            value(ObjectiveKind.wave_indiv(0.01), [[0.1]], [[0.1, 0.2]])
+        with pytest.raises(ConfigError):
+            objective_mask(ObjectiveKind.wave_indiv(0.01), risk([[0.1]]), risk([[0.1, 0.2]]))
 
 
 class TestSignMask:
     def test_all_above(self):
         r = risk([[0.3, 0.2]])
-        assert (gradient_sign_mask(r, r, 0.01) == 1.0).all()
+        assert (objective_mask(ObjectiveKind.wave_indiv(0.01), r, r) == 1.0).all()
 
     def test_all_below(self):
         src = risk(np.zeros((2, 2)))
         tgt = risk(np.ones((2, 2)))
-        assert (gradient_sign_mask(src, tgt, 0.1) == -1.0).all()
+        assert (objective_mask(ObjectiveKind.wave_indiv(0.1), src, tgt) == -1.0).all()
 
     def test_mixed_matches_hand_signs(self):
         src = risk([[0.10, 0.50], [0.20, 0.05]])
         tgt = risk([[0.30, 0.30], [0.20, 0.30]])
-        got = gradient_sign_mask(src, tgt, 0.05)
+        got = objective_mask(ObjectiveKind.wave_indiv(0.05), src, tgt)
         # sign of src - (tgt - eps), ties resolve to +1
         expected = np.array([[-1.0, 1.0], [1.0, -1.0]])
         assert np.array_equal(got, expected)
@@ -142,7 +148,7 @@ class TestSignMask:
     def test_tie_resolves_to_descent(self):
         src = risk([[0.25]])
         tgt = risk([[0.3125]])
-        assert gradient_sign_mask(src, tgt, 0.0625)[0, 0] == 1.0
+        assert objective_mask(ObjectiveKind.wave_indiv(0.0625), src, tgt)[0, 0] == 1.0
 
 
 class TestEquivalences:
@@ -153,9 +159,9 @@ class TestEquivalences:
         for _ in range(50):
             src = risk(rng.uniform(0, 1, size=(3, 2)))
             frozen = RiskMatrix.constant(b + eps, (3, 2))
-            assert wave_objective_indiv(src, frozen, eps) == constant_flooding_objective(
-                src, b
-            )
+            assert objective_value(
+                ObjectiveKind.wave_indiv(eps), src, frozen
+            ) == objective_value(ObjectiveKind.constant_flooding(b), src)
             wave_mask = objective_mask(ObjectiveKind.wave_indiv(eps), src, frozen)
             flood_mask = objective_mask(ObjectiveKind.constant_flooding(b), src)
             assert np.array_equal(wave_mask, flood_mask)
@@ -225,13 +231,14 @@ class TestJensenOnMiniBatches:
         pred = rng.normal(size=(n, 2, 2))
         target = rng.normal(size=(n, 2, 2))
         b = 0.8
-        pooled = per_element_risk(pred, target).mean
+        pooled = per_element_risk(pred, target)
         weights = [s / n for s in sizes]
+        flooding = ObjectiveKind.flooding(b)
         batchwise = sum(
-            w * flooding_objective(r.mean, b)
+            w * objective_value(flooding, r)
             for w, r in zip(weights, self._batch_risks(pred, target, sizes))
         )
-        assert flooding_objective(pooled, b) <= batchwise + 1e-12
+        assert objective_value(flooding, pooled) <= batchwise + 1e-12
 
     @pytest.mark.parametrize("sizes", [[4, 4, 4], [5, 3, 4]])
     def test_per_element_wave_bound(self, sizes):

@@ -160,15 +160,10 @@ class TestLoopMechanics:
             r1.final_source.weights[0], r2.final_source.weights[0]
         )
 
-    def test_window_list_and_tuple_inputs_agree(self):
-        values = Rng(8).normal(size=(30, 1))
-        segment = SeriesDataset(values, ["x"])
-        windows = windowize(segment, L, M)
-        stacked = trainer_module.stack_windows(windows)
-        cfg = make_config(ObjectiveKind.plain(), max_epochs=2)
-        r_list = train(cfg, windows, windows, windows)
-        r_tuple = train(cfg, stacked, stacked, stacked)
-        assert_same_trajectory(r_list, r_tuple)
+    def test_window_list_input_rejected(self):
+        windows = windowize(SeriesDataset(Rng(8).normal(size=(30, 1)), ["x"]), L, M)
+        with pytest.raises(ConfigError, match=r"stacked \(past, future\) tuple"):
+            train(make_config(ObjectiveKind.plain()), windows, SETS[1], SETS[2])
 
     def test_eval_network_changes_metrics_not_trajectory(self):
         r_src = train(make_config(ObjectiveKind.plain(), eval_network="source"), *SETS)
