@@ -9,58 +9,53 @@ Format (all integers little-endian):
   layers   per layer uint32 x 3: out_dim, in_dim, activation code
                        (index into nn.ACTIVATIONS)
   mirror   uint32 has_mirror (0/1), float64 decay
-  payload  float64 little-endian tensors in (w0, b0, w1, b1, ...) order,
-           row-major; source network first, then the mirror target if
-           present
+  payload  the source network's ModelParams.flat as little-endian float64,
+           i.e. the tensors in (w0, b0, w1, b1, ...) order, row-major;
+           then the mirror target's flat buffer if present
 
 The byte count is fully determined by the header, so truncation and
-trailing garbage are both detected.  Round-trips are bit-exact.
+trailing garbage are both detected.  Round-trips are bit-exact.  A save
+writes a temporary file beside the target and renames it into place, so
+an interrupted save never leaves a half-written checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
 
 from .ema import EmaMirror
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .nn import ACTIVATIONS, ModelParams
 
 MAGIC = b"WBCHKPT\x00"
 VERSION = 1
 
 
-def _params_payload(params: ModelParams) -> bytes:
-    return b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in params.tensors())
-
-
 def checkpoint_save(path, params: ModelParams, mirror: EmaMirror | None = None) -> None:
     """Write params (and optionally its mirror) to path in one blob."""
     head = [MAGIC, struct.pack("<I", VERSION)]
-    head.append(
-        struct.pack(
-            "<5I",
-            params.input_shape[0],
-            params.input_shape[1],
-            params.output_shape[0],
-            params.output_shape[1],
-            params.n_layers,
-        )
-    )
-    for w, act in zip(params.weights, params.activations):
-        head.append(struct.pack("<3I", w.shape[0], w.shape[1], ACTIVATIONS.index(act)))
+    head.append(struct.pack("<5I", *params.input_shape, *params.output_shape, params.n_layers))
+    for (out_dim, in_dim), act in zip(params.layer_dims, params.activations):
+        head.append(struct.pack("<3I", out_dim, in_dim, ACTIVATIONS.index(act)))
     if mirror is None:
         head.append(struct.pack("<Id", 0, 0.0))
+        nets = [params]
     else:
         head.append(struct.pack("<Id", 1, mirror.decay))
-    blob = b"".join(head) + _params_payload(params)
-    if mirror is not None:
-        blob += _params_payload(mirror.target)
+        nets = [params, mirror.target]
+    blob = b"".join(head) + b"".join(p.flat.astype("<f8", copy=False).tobytes() for p in nets)
+    tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(blob)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise DataError(f"cannot write checkpoint {path}: {exc}") from None
 
 
@@ -81,15 +76,6 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _read_tensors(cur: _Cursor, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    out = []
-    for shape in shapes:
-        n = int(np.prod(shape))
-        raw = cur.take(8 * n)
-        out.append(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape))
-    return out
-
-
 def checkpoint_load(path) -> tuple[ModelParams, EmaMirror | None]:
     """Read a checkpoint; errors name the path and what was wrong."""
     try:
@@ -104,28 +90,26 @@ def checkpoint_load(path) -> tuple[ModelParams, EmaMirror | None]:
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     in_len, in_feat, out_len, out_feat, n_layers = cur.unpack("<5I")
-    shapes = []
-    activations = []
-    for _ in range(n_layers):
-        out_dim, in_dim, act_code = cur.unpack("<3I")
+    layers = [cur.unpack("<3I") for _ in range(n_layers)]
+    for _, _, act_code in layers:
         if act_code >= len(ACTIVATIONS):
             raise DataError(f"{path}: unknown activation code {act_code}")
-        shapes.extend([(out_dim, in_dim), (out_dim,)])
-        activations.append(ACTIVATIONS[act_code])
     has_mirror, decay = cur.unpack("<Id")
-    tensors = _read_tensors(cur, shapes)
-    params = ModelParams(
-        weights=tensors[0::2],
-        biases=tensors[1::2],
-        activations=activations,
-        input_shape=(in_len, in_feat),
-        output_shape=(out_len, out_feat),
-    )
-    mirror = None
+    size = sum(out_dim * in_dim + out_dim for out_dim, in_dim, _ in layers)
+    nets = [np.frombuffer(cur.take(8 * size), dtype="<f8").astype(np.float64)]
     if has_mirror:
-        target_tensors = _read_tensors(cur, shapes)
-        target = params.with_tensors(target_tensors)
-        mirror = EmaMirror(target=target, decay=decay)
+        nets.append(np.frombuffer(cur.take(8 * size), dtype="<f8").astype(np.float64))
     if cur.pos != len(blob):
         raise DataError(f"{path}: {len(blob) - cur.pos} trailing bytes after checkpoint payload")
+    try:
+        params = ModelParams.from_flat(
+            nets[0],
+            [(out_dim, in_dim) for out_dim, in_dim, _ in layers],
+            [ACTIVATIONS[act_code] for _, _, act_code in layers],
+            (in_len, in_feat),
+            (out_len, out_feat),
+        )
+    except ConfigError as exc:
+        raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
+    mirror = EmaMirror(target=params.with_flat(nets[1]), decay=decay) if has_mirror else None
     return params, mirror

@@ -99,8 +99,8 @@ class SplitSpec:
     def __post_init__(self):
         if len(self.ratios) != 3:
             raise ConfigError("need exactly three split ratios")
-        if any(r <= 0 for r in self.ratios):
-            raise ConfigError(f"split ratios must be positive, got {self.ratios}")
+        if not all(0 < r < np.inf for r in self.ratios):
+            raise ConfigError(f"split ratios must be positive and finite, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {self.ratios}")
 
@@ -111,8 +111,8 @@ class SplitSpec:
             parts = [float(p) for p in text.split(":")]
         except ValueError:
             raise ConfigError(f"cannot parse split ratios {text!r}") from None
-        if len(parts) != 3 or any(p <= 0 for p in parts):
-            raise ConfigError(f"split ratios need three positive parts, got {text!r}")
+        if len(parts) != 3 or not all(0 < p < np.inf for p in parts):
+            raise ConfigError(f"split ratios need three positive finite parts, got {text!r}")
         total = sum(parts)
         return cls((parts[0] / total, parts[1] / total, parts[2] / total))
 
@@ -133,8 +133,8 @@ def synth_series(length: int, sigma: float, seed: int) -> SeriesDataset:
     """
     if length < 1:
         raise ConfigError("length must be >= 1")
-    if sigma < 0:
-        raise ConfigError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma!r}")
     t = np.arange(length, dtype=np.float64)
     clean = 2.0 * np.sin(2.0 * np.pi * t / 32.0) + np.sin(2.0 * np.pi * t / 48.0)
     noise = sigma * Rng(seed).normal(size=length)

@@ -3,8 +3,8 @@
 The target network supplies per-output error bounds during training and
 receives no gradients.  Its parameters track the source as
 tau <- decay*tau + (1-decay)*theta, applied once per optimizer step,
-immediately after the step.  The target is initialized as an exact copy of
-the source.
+immediately after the step, as one blend of the two flat parameter
+buffers.  The target is initialized as an exact copy of the source.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ def ema_init(source: ModelParams, decay: float) -> EmaMirror:
 def ema_update(mirror: EmaMirror, source: ModelParams) -> EmaMirror:
     """New mirror with every entry moved to decay*tau + (1-decay)*theta."""
     a = mirror.decay
-    tgt = mirror.target.tensors()
-    src = source.tensors()
-    if len(tgt) != len(src) or any(t.shape != s.shape for t, s in zip(tgt, src)):
+    if mirror.target.layer_dims != source.layer_dims:
         raise ConfigError("target and source parameter shapes differ")
-    blended = [a * t + (1.0 - a) * s for t, s in zip(tgt, src)]
-    return EmaMirror(target=mirror.target.with_tensors(blended), decay=a)
+    blended = a * mirror.target.flat + (1.0 - a) * source.flat
+    return EmaMirror(target=mirror.target.with_flat(blended), decay=a)

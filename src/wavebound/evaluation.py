@@ -56,8 +56,8 @@ def generalization_gap(log) -> np.ndarray:
     return np.array([r.test_mse - r.train_mse for r in records])
 
 
-def _slice_direction(params: ModelParams, rng: Rng) -> list[np.ndarray]:
-    """Random direction, rescaled rowwise to the model's own row norms.
+def _slice_direction(params: ModelParams, rng: Rng) -> np.ndarray:
+    """Random direction in the layout of params.flat, rescaled rowwise.
 
     For a weight matrix, each output row of the direction is scaled to the
     norm of the matching weight row; bias entries are scaled to their own
@@ -74,8 +74,8 @@ def _slice_direction(params: ModelParams, rng: Rng) -> list[np.ndarray]:
             d_norm = np.abs(d)
             t_norm = np.abs(tensor)
         safe = np.where(d_norm > 0, d_norm, 1.0)
-        direction.append(d * np.where(d_norm > 0, t_norm / safe, 0.0))
-    return direction
+        direction.append((d * np.where(d_norm > 0, t_norm / safe, 0.0)).ravel())
+    return np.concatenate(direction)
 
 
 def loss_slice(
@@ -102,11 +102,6 @@ def loss_slice(
     ts = np.concatenate([-offsets[::-1], [0.0], offsets])
     out = []
     for t in ts:
-        if t == 0.0:
-            probe = params
-        else:
-            probe = params.with_tensors(
-                [p + t * d for p, d in zip(params.tensors(), direction)]
-            )
+        probe = params if t == 0.0 else params.with_flat(params.flat + t * direction)
         out.append((float(t), evaluate(probe, past, future).mse))
     return out

@@ -10,12 +10,15 @@ Layers are affine maps with weights of shape (out, in) and biases of shape
 the two hidden layers and identity on the output; the structures below also
 admit other depths/activations for probing and diagnostics.
 
+A model's parameters live in one contiguous float64 buffer, `flat`, in
+(w0, b0, w1, b1, ...) order, each tensor row-major; the per-layer weights
+and biases are views into it.  Gradients, Adam moments, the EMA target and
+the checkpoint payload share this layout, so each is a single array.
+
 All functions are pure: they never mutate their arguments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,79 +28,94 @@ from .rng import Rng
 ACTIVATIONS = ("tanh", "identity")
 
 
-@dataclass
+def _geometry(layer_dims, activations, input_shape, output_shape):
+    """Checked (layer_dims, activations, input_shape, output_shape) tuples."""
+    dims = tuple((int(out_dim), int(in_dim)) for out_dim, in_dim in layer_dims)
+    if len(dims) != len(activations):
+        raise ConfigError("weights, biases and activations must have equal length")
+    if not dims:
+        raise ConfigError("model needs at least one layer")
+    for act in activations:
+        if act not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {act!r}")
+    for i, ((_, in_dim), (prev_out, _)) in enumerate(zip(dims[1:], dims), start=1):
+        if in_dim != prev_out:
+            raise ConfigError(f"layer {i}: input dim {in_dim} != previous output {prev_out}")
+    lin, lout = tuple(input_shape), tuple(output_shape)
+    if dims[0][1] != lin[0] * lin[1]:
+        raise ConfigError(
+            f"first layer expects {dims[0][1]} inputs, window {lin} flattens to {lin[0] * lin[1]}"
+        )
+    if dims[-1][0] != lout[0] * lout[1]:
+        raise ConfigError(
+            f"last layer emits {dims[-1][0]} outputs, window {lout} needs {lout[0] * lout[1]}"
+        )
+    return dims, tuple(activations), lin, lout
+
+
 class ModelParams:
     """Weights/biases of a dense MLP plus its window geometry.
 
-    weights[i] has shape (out_i, in_i); biases[i] has shape (out_i,).
-    activations[i] is applied after layer i.  input_shape = (L, K),
-    output_shape = (M, K); weights[0].shape[1] == L*K and
-    weights[-1].shape[0] == M*K.
+    `flat` holds every parameter; weights[i] (shape (out_i, in_i)) and
+    biases[i] (shape (out_i,)) are views into it, and layer_dims[i] is
+    (out_i, in_i).  activations[i] is applied after layer i.  input_shape =
+    (L, K), output_shape = (M, K); weights[0].shape[1] == L*K and
+    weights[-1].shape[0] == M*K.  The constructor copies the given tensors.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activations: tuple[str, ...]
-    input_shape: tuple[int, int]
-    output_shape: tuple[int, int]
-
-    def __post_init__(self):
-        self.activations = tuple(self.activations)
-        self.input_shape = tuple(self.input_shape)
-        self.output_shape = tuple(self.output_shape)
-        if len(self.weights) != len(self.biases) or len(self.weights) != len(self.activations):
+    def __init__(self, weights, biases, activations, input_shape, output_shape):
+        if len(weights) != len(biases):
             raise ConfigError("weights, biases and activations must have equal length")
-        if not self.weights:
-            raise ConfigError("model needs at least one layer")
-        for act in self.activations:
-            if act not in ACTIVATIONS:
-                raise ConfigError(f"unknown activation {act!r}")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ConfigError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
-                raise ConfigError(
-                    f"layer {i}: input dim {w.shape[1]} != previous output "
-                    f"{self.weights[i - 1].shape[0]}"
-                )
-        lin, lout = self.input_shape, self.output_shape
-        if self.weights[0].shape[1] != lin[0] * lin[1]:
-            raise ConfigError(
-                f"first layer expects {self.weights[0].shape[1]} inputs, "
-                f"window {lin} flattens to {lin[0] * lin[1]}"
-            )
-        if self.weights[-1].shape[0] != lout[0] * lout[1]:
-            raise ConfigError(
-                f"last layer emits {self.weights[-1].shape[0]} outputs, "
-                f"window {lout} needs {lout[0] * lout[1]}"
-            )
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if np.ndim(w) != 2 or np.ndim(b) != 1 or np.shape(w)[0] != np.shape(b)[0]:
+                raise ConfigError(f"layer {i}: weight {np.shape(w)} / bias {np.shape(b)} mismatch")
+        geometry = _geometry([np.shape(w) for w in weights], activations, input_shape, output_shape)
+        tensors = [np.ravel(t) for pair in zip(weights, biases) for t in pair]
+        self._bind(np.concatenate(tensors, dtype=np.float64), geometry)
+
+    @classmethod
+    def from_flat(cls, flat, layer_dims, activations, input_shape, output_shape) -> "ModelParams":
+        """Params of the given geometry, viewing `flat`."""
+        geometry = _geometry(layer_dims, activations, input_shape, output_shape)
+        return cls.__new__(cls)._bind(flat, geometry)
+
+    def _bind(self, flat, geometry) -> "ModelParams":
+        self._geometry = geometry
+        self.layer_dims, self.activations, self.input_shape, self.output_shape = geometry
+        self.flat = np.ascontiguousarray(flat, dtype=np.float64)
+        size = sum(out_dim * in_dim + out_dim for out_dim, in_dim in self.layer_dims)
+        if self.flat.shape != (size,):
+            raise ConfigError(f"expected a flat buffer of {size} parameters, got {self.flat.shape}")
+        self.weights, self.biases, pos = [], [], 0
+        for out_dim, in_dim in self.layer_dims:
+            end = pos + out_dim * in_dim
+            self.weights.append(self.flat[pos:end].reshape(out_dim, in_dim))
+            self.biases.append(self.flat[end : end + out_dim])
+            pos = end + out_dim
+        return self
+
+    def __reduce__(self):
+        # Pickle the buffer once; the views are rebuilt on load.
+        return (ModelParams.from_flat, (self.flat, *self._geometry))
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_dims)
 
     def tensors(self) -> list[np.ndarray]:
-        """Parameter tensors in a fixed order: w0, b0, w1, b1, ..."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Views of the parameter tensors in buffer order: w0, b0, w1, b1, ..."""
+        return [t for pair in zip(self.weights, self.biases) for t in pair]
+
+    def with_flat(self, flat: np.ndarray) -> "ModelParams":
+        """Same geometry, viewing another buffer of the same length."""
+        return ModelParams.__new__(ModelParams)._bind(flat, self._geometry)
 
     def with_tensors(self, tensors: list[np.ndarray]) -> "ModelParams":
-        """New params with the same geometry and the given tensors."""
-        if len(tensors) != 2 * self.n_layers:
-            raise ConfigError(f"expected {2 * self.n_layers} tensors, got {len(tensors)}")
-        return ModelParams(
-            weights=[np.asarray(t) for t in tensors[0::2]],
-            biases=[np.asarray(t) for t in tensors[1::2]],
-            activations=self.activations,
-            input_shape=self.input_shape,
-            output_shape=self.output_shape,
-        )
+        """Same geometry, holding copies of the given tensors."""
+        return ModelParams(tensors[0::2], tensors[1::2], *self._geometry[1:])
 
     def copy(self) -> "ModelParams":
-        return self.with_tensors([t.copy() for t in self.tensors()])
+        return self.with_flat(self.flat.copy())
 
 
 def new_forecaster(
@@ -168,11 +186,11 @@ def mlp_forward_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 def mlp_backward_batch(
     params: ModelParams, inputs: np.ndarray, upstream: np.ndarray
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Gradient of sum_i <upstream_i, forward(inputs_i)> w.r.t. parameters.
 
-    inputs (n, L, K), upstream (n, M, K); returns tensors in
-    ModelParams.tensors() order: [dw0, db0, dw1, db1, ...].
+    inputs (n, L, K), upstream (n, M, K); returns one flat gradient in the
+    layout of params.flat.  Each dW and db is written through a view of it.
     """
     inputs = _check_input(params, inputs)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -185,13 +203,13 @@ def mlp_backward_batch(
 
     states = _forward_flat(params, inputs.reshape(n, -1))
     delta = upstream.reshape(n, -1) * _activate_grad(params.activations[-1], states[-1])
-    grads: list[np.ndarray] = []
+    grad = np.empty_like(params.flat)
+    views = params.with_flat(grad)
     for i in range(params.n_layers - 1, -1, -1):
-        grads.append(delta.sum(axis=0))       # db_i
-        grads.append(delta.T @ states[i])     # dw_i
+        np.sum(delta, axis=0, out=views.biases[i])
+        np.matmul(delta.T, states[i], out=views.weights[i])
         if i > 0:
             delta = (delta @ params.weights[i]) * _activate_grad(
                 params.activations[i - 1], states[i]
             )
-    grads.reverse()
-    return grads
+    return grad

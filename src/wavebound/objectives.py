@@ -54,6 +54,8 @@ class ObjectiveKind:
         # Written so that NaN fails too; epsilon = +inf stays legal (bound -inf).
         if not self.b >= 0.0:
             raise ConfigError(f"flood level b must be >= 0, got {self.b!r}")
+        if not np.isfinite(self.b):
+            raise ConfigError(f"flood level b must be finite, got {self.b!r}")
         if not self.epsilon >= 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
 

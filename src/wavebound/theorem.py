@@ -29,6 +29,7 @@ factor keeps both sides of the comparison in the same normalization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ import numpy as np
 from .errors import ConfigError
 from .objectives import flood_elementwise, wave_elementwise
 from .rng import Rng
+
+
+def _all_finite(*arrays: np.ndarray) -> bool:
+    # A Python scan: on these few-entry matrices it costs half a ufunc
+    # reduction, and instance construction is the oracle's set-up time.
+    return all(math.isfinite(v) for a in arrays for v in a.ravel().tolist())
 
 
 @dataclass
@@ -51,10 +58,10 @@ class LinearGaussianPopulation:
         self.noise_std = np.asarray(self.noise_std, dtype=np.float64)
         if self.true_map.ndim != 2 or self.noise_std.shape != self.true_map.shape:
             raise ConfigError("true_map and noise_std must be matching (M, K) matrices")
-        if not np.isfinite(self.true_map).all() or not np.isfinite(self.noise_std).all():
+        if not _all_finite(self.true_map, self.noise_std):
             raise ConfigError("population parameters must be finite")
-        if self.input_std <= 0:
-            raise ConfigError("input_std must be > 0")
+        if not 0 < self.input_std < np.inf:
+            raise ConfigError(f"input_std must be finite and > 0, got {self.input_std!r}")
         if (self.noise_std < 0).any():
             raise ConfigError("noise_std entries must be >= 0")
         variance = (self.true_map * self.input_std) ** 2 + self.noise_std**2
@@ -106,14 +113,16 @@ class OracleInstance:
         shape = self.population.shape
         if self.g.shape != shape or self.g_star.shape != shape:
             raise ConfigError("predictor coefficient shapes must match the population")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be >= 0")
+        if not _all_finite(self.g, self.g_star):
+            raise ConfigError("predictor coefficients must be finite")
+        if not self.epsilon >= 0:  # NaN fails too; epsilon = +inf stays legal
+            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.margin_alpha <= 0:
-            raise ConfigError("margin_alpha must be > 0")
+        if not 0 < self.margin_alpha < np.inf:
+            raise ConfigError(f"margin_alpha must be finite and > 0, got {self.margin_alpha!r}")
 
 
 @dataclass

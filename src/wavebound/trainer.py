@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not self.learning_rate >= 0:  # NaN fails too
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
+        if not np.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate!r}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
         if self.patience < 1:

@@ -99,7 +99,7 @@ def _analytic_grads(kind, params, x, y, target_params):
     mask = objective_mask(kind, risk, target_risk)
     n, m, k = pred.shape
     upstream = mask[None, :, :] * (2.0 * (pred - y) / (n * m * k))
-    return mlp_backward_batch(params, x, upstream)
+    return params.with_flat(mlp_backward_batch(params, x, upstream)).tensors()
 
 
 def _central_fd(func, params, h=FD_STEP):

@@ -23,7 +23,8 @@ def scalar_model(value: float) -> ModelParams:
 
 
 def scalar_grads(wg: float, bg: float = 0.0):
-    return [np.array([[wg]]), np.array([bg])]
+    """Flat gradient of scalar_model: (dw, db)."""
+    return np.array([wg, bg])
 
 
 def test_first_step_hand_trace():
@@ -55,7 +56,7 @@ def test_constant_gradient_step_magnitude_is_lr():
 def test_zero_learning_rate_is_identity():
     rng = Rng(0)
     model = new_forecaster(3, 2, 1, 4, rng.split("init"))
-    grads = [rng.normal(size=t.shape) for t in model.tensors()]
+    grads = np.concatenate([rng.normal(size=t.shape).ravel() for t in model.tensors()])
     new, _ = adam_step(model, grads, adam_init(model), lr=0.0)
     for a, b in zip(new.tensors(), model.tensors()):
         assert np.array_equal(a, b)
@@ -65,21 +66,22 @@ def test_step_is_pure():
     model = scalar_model(1.0)
     state = adam_init(model)
     before = [t.copy() for t in model.tensors()]
-    m_before = [m.copy() for m in state.first_moment]
+    m_before = state.first_moment.copy()
     adam_step(model, scalar_grads(0.3), state, lr=0.1)
     for t, b in zip(model.tensors(), before):
         assert np.array_equal(t, b)
-    for m, b in zip(state.first_moment, m_before):
-        assert np.array_equal(m, b)
+    assert np.array_equal(state.first_moment, m_before)
     assert state.step_count == 0
 
 
 def test_shape_mismatch_rejected():
     model = scalar_model(1.0)
     with pytest.raises(ConfigError):
-        adam_step(model, [np.zeros((2, 2)), np.zeros(1)], adam_init(model), lr=0.1)
+        adam_step(model, np.zeros(5), adam_init(model), lr=0.1)
     with pytest.raises(ConfigError):
-        adam_step(model, [np.zeros((1, 1))], adam_init(model), lr=0.1)
+        adam_step(model, np.zeros(1), adam_init(model), lr=0.1)
+    with pytest.raises(ConfigError):
+        adam_step(model, np.zeros((1, 2)), adam_init(model), lr=0.1)
 
 
 def test_non_finite_gradient_rejected():

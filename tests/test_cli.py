@@ -166,15 +166,43 @@ class TestTrain:
         assert "row 52, column 2: non-finite value nan" in stderr
 
     @pytest.mark.parametrize(
-        "objective,key", [("flooding", "b"), ("wave_indiv", "epsilon"), ("plain", "learning_rate")]
+        "objective,key,value,message",
+        [
+            pytest.param("flooding", "b", "nan", "b must be >= 0, got nan", id="flooding-b"),
+            pytest.param(
+                "wave_indiv", "epsilon", "nan", "epsilon must be >= 0, got nan",
+                id="wave_indiv-epsilon",
+            ),
+            pytest.param(
+                "plain", "learning_rate", "nan", "learning_rate must be >= 0, got nan",
+                id="plain-learning_rate",
+            ),
+            pytest.param("flooding", "b", "inf", "b must be finite, got inf", id="flooding-b-inf"),
+            pytest.param(
+                "plain", "learning_rate", "inf", "learning_rate must be finite, got inf",
+                id="plain-learning_rate-inf",
+            ),
+            pytest.param("plain", "sigma", "nan", "sigma must be finite", id="plain-sigma-nan"),
+            pytest.param("plain", "sigma", "inf", "sigma must be finite", id="plain-sigma-inf"),
+            pytest.param(
+                "plain", "ratios", "nan:1:1", "got 'nan:1:1'", id="plain-ratios-nan"
+            ),
+            pytest.param(
+                "plain", "ratios", "1:1:inf", "got '1:1:inf'", id="plain-ratios-inf"
+            ),
+        ],
     )
-    def test_nan_hyperparameter_is_config_error(self, tmp_path, capsys, objective, key):
+    def test_nan_hyperparameter_is_config_error(
+        self, tmp_path, capsys, objective, key, value, message
+    ):
+        # Non-finite settings are config errors (exit 2), not numeric or data
+        # failures later in the run; epsilon = inf is the legal -inf-bound sentinel.
         code, _, stderr = run_cli(
             capsys, "train", "--out", str(tmp_path / "x"), *SMALL,
-            "--set", f"objective={objective}", "--set", f"{key}=nan",
+            "--set", f"objective={objective}", "--set", f"{key}={value}",
         )
         assert code == 2
-        assert f"{key} must be >= 0, got nan" in stderr
+        assert message in stderr
 
     def test_window_longer_than_segment_is_data_error(self, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -275,6 +303,26 @@ class TestTheorem:
         run_cli(capsys, "theorem", "--out", str(a), *self.ARGS)
         run_cli(capsys, "theorem", "--out", str(b), *self.ARGS)
         assert read_dir(a) == read_dir(b)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("epsilon", "nan"),
+            ("margin_alpha", "nan"),
+            ("margin_alpha", "inf"),
+            ("input_std", "nan"),
+            ("input_std", "inf"),
+            ("g_offset", "nan"),
+            ("g_star_offset", "inf"),
+        ],
+    )
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, key, value):
+        # report.json would otherwise carry NaN, which is not valid JSON
+        code, _, stderr = run_cli(
+            capsys, "theorem", "--out", str(tmp_path / "x"), "--set", f"{key}={value}", *self.ARGS,
+        )
+        assert code == 2
+        assert not (tmp_path / "x" / "report.json").exists()
 
     def test_invalid_population_is_config_error(self, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -46,7 +46,7 @@ def test_alpha_zero_copies_source():
 def test_midpoint():
     source, _ = two_models()
     mirror = ema_init(source, 0.5)
-    doubled = source.with_tensors([2.0 * t for t in source.tensors()])
+    doubled = source.with_flat(2.0 * source.flat)
     mirror = ema_update(mirror, doubled)
     for t, s in zip(mirror.target.tensors(), source.tensors()):
         assert np.allclose(t, 1.5 * s, rtol=0, atol=0)

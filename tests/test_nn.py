@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -70,12 +72,47 @@ def test_new_forecaster_deterministic():
 
 def test_tensor_order_roundtrip():
     model = new_forecaster(3, 2, 1, 4, Rng(2))
+    rebound = model.with_flat(model.flat)
+    assert rebound.flat is model.flat
+    for ta, tb in zip(model.tensors(), rebound.tensors()):
+        assert np.shares_memory(ta, tb) and ta.shape == tb.shape
     rebuilt = model.with_tensors(model.tensors())
-    for ta, tb in zip(model.tensors(), rebuilt.tensors()):
-        assert ta is tb
+    assert np.array_equal(rebuilt.flat, model.flat)
+    assert not np.shares_memory(rebuilt.flat, model.flat)
     copied = model.copy()
     assert all(np.array_equal(a, b) for a, b in zip(model.tensors(), copied.tensors()))
     assert copied.tensors()[0] is not model.tensors()[0]
+
+
+def test_tensors_view_the_flat_buffer():
+    model = new_forecaster(3, 2, 1, 4, Rng(2))
+    flat_copy = model.flat.copy()
+    for params in (
+        model,
+        model.copy(),
+        model.with_flat(flat_copy),
+        model.with_tensors(model.tensors()),
+        pickle.loads(pickle.dumps(model)),
+    ):
+        assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+        assert params.flat.size == sum(t.size for t in params.tensors())
+        for t in params.tensors():
+            assert np.shares_memory(t, params.flat)
+        assert np.array_equal(params.flat, model.flat)
+        assert params.layer_dims == model.layer_dims
+    assert not np.shares_memory(model.copy().flat, model.flat)
+    assert model.with_flat(flat_copy).flat is flat_copy
+    # the buffer is in (w0, b0, w1, b1, ...) order, each tensor row-major
+    assert np.array_equal(model.flat, np.concatenate([t.ravel() for t in model.tensors()]))
+    model.weights[1][0, 0] = 7.0
+    assert model.flat[model.weights[0].size + model.biases[0].size] == 7.0
+
+
+def test_with_flat_rejects_wrong_length():
+    model = new_forecaster(3, 2, 1, 4, Rng(2))
+    for bad in (model.flat[:-1], np.zeros(model.flat.size + 1), model.flat.reshape(1, -1)):
+        with pytest.raises(ConfigError, match="flat buffer"):
+            model.with_flat(bad)
 
 
 def test_shape_validation():
@@ -129,7 +166,7 @@ def test_backward_matches_finite_differences(seed):
     model = new_forecaster(3, 2, 2, 4, rng.split("init"))
     x = rng.normal(size=(4, 3, 2))
     upstream = rng.normal(size=(4, 2, 2))
-    analytic = mlp_backward_batch(model, x, upstream)
+    analytic = model.with_flat(mlp_backward_batch(model, x, upstream)).tensors()
     numeric = numeric_gradient(model, x, upstream)
     for a, n in zip(analytic, numeric):
         assert np.allclose(a, n, rtol=1e-5, atol=1e-7)
@@ -164,6 +201,9 @@ def test_backward_is_linear_in_upstream():
 
 def test_backward_gradient_order_matches_tensors():
     model = new_forecaster(3, 2, 1, 4, Rng(6))
-    grads = mlp_backward_batch(model, np.zeros((1, 3, 1)), np.ones((1, 2, 1)))
-    for g, t in zip(grads, model.tensors()):
-        assert g.shape == t.shape
+    grad = mlp_backward_batch(model, np.zeros((1, 3, 1)), np.ones((1, 2, 1)))
+    assert grad.shape == model.flat.shape
+    # zero input: dw0 is zero and db0 is not, which pins w0 ahead of b0
+    n_w0 = model.weights[0].size
+    assert not grad[:n_w0].any()
+    assert grad[n_w0 : n_w0 + model.biases[0].size].all()

@@ -246,6 +246,17 @@ class TestSweep:
         assert rows[0].val_mse == direct.log.records[direct.best_epoch].val_mse
         assert_same_trajectory(rows[0].result, direct)
 
+    def test_worker_processes_match_serial(self):
+        # workers > 1 pickles every TrainResult; the params must come back
+        # bit-identical and still viewing one buffer each
+        cfg = make_config(ObjectiveKind.wave_indiv(0.01), max_epochs=2)
+        serial = sweep(cfg, "learning_rate", [1e-3, 1e-4], *SETS)
+        parallel = sweep(cfg, "learning_rate", [1e-3, 1e-4], *SETS, workers=2)
+        for a, b in zip(serial, parallel):
+            assert_same_trajectory(a.result, b.result)
+            for params in (b.result.params, b.result.final_mirror.target):
+                assert all(np.shares_memory(t, params.flat) for t in params.tensors())
+
     def test_rows_ranked_by_validation_mse(self):
         cfg = make_config(ObjectiveKind.plain(), max_epochs=2)
         rows = sweep(cfg, "learning_rate", [1e-5, 1e-3, 1e-4], *SETS)
