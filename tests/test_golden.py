@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -79,6 +80,21 @@ def _train_case(objective: str, network: str, *extra: str):
     return run
 
 
+def _multifeature_case(tmp: Path) -> dict:
+    """K=3 windows end to end: guards the feature axis of the window layout."""
+    path = tmp / "series.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("date,a,b,c\n")
+        for t in range(400):
+            row = (math.sin(2 * math.pi * t / 32), math.cos(2 * math.pi * t / 48),
+                   (t * 13 % 17) / 17 - 0.5)
+            fh.write(f"{t}," + ",".join(repr(v) for v in row) + "\n")
+    _cli("train", "--out", tmp / "run", *TRAIN_ARGS, "--set", "data=csv",
+         "--set", f"csv_path={path}", "--set", "univariate=false",
+         "--set", "objective=wave_indiv")
+    return _digest(tmp / "run", ("train_log.csv", "metrics.csv", "model.ckpt"))
+
+
 def _sweep_case(tmp: Path) -> dict:
     _cli("sweep", "--out", tmp, *TRAIN_ARGS, "--set", "objective=wave_indiv",
          "--param", "learning_rate", "--values", "0.0001,0.0003,0.001")
@@ -103,6 +119,7 @@ CASES = {
     # never reflect a flooded risk; at b=1.0 both flooding objectives do.
     **{f"train/{o}/b=1.0": _train_case(o, "target", "--set", "b=1.0")
        for o in ("flooding", "constant_flooding")},
+    "train/wave_indiv/csv_k3": _multifeature_case,
     "sweep/learning_rate": _sweep_case,
     "eval/test": _eval_case,
     "theorem": _theorem_case,
