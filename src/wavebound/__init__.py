@@ -12,7 +12,7 @@ from .checkpoint import checkpoint_load, checkpoint_save
 from .data import (
     SeriesDataset,
     SplitSpec,
-    WindowPair,
+    WindowSet,
     batch_indices,
     load_csv,
     save_csv,

@@ -313,6 +313,8 @@ def cmd_theorem(args) -> int:
     cfg = _resolve(THEOREM_DEFAULTS, args.config, args.set)
     out_dir = _ensure_out(args.out)
     shape = (_as_int(cfg, "rows"), _as_int(cfg, "cols"))
+    if min(shape) < 1:
+        raise ConfigError(f"rows and cols must be >= 1, got {shape}")
     population = LinearGaussianPopulation(
         true_map=np.full(shape, _as_float(cfg, "true_coeff")),
         noise_std=np.full(shape, _as_float(cfg, "noise_std")),
@@ -390,6 +392,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except WaveboundError as exc:  # pragma: no cover - base-class safety net
         print(f"error: {exc}", file=sys.stderr)
         return 1

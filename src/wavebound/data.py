@@ -2,10 +2,14 @@
 
 A series is a (T, K) float64 matrix: T time steps, K features.  A window
 pairs L past rows with the M rows that follow immediately; stride is 1, so
-a segment of length T' yields T' - L - M + 1 windows.  Splits are
-chronological, applied to the raw series before windowing, so windows never
-cross a split boundary.  Standardization statistics come from the train
-segment alone and are shared by the validation and test segments.
+a segment of length T' yields n = T' - L - M + 1 windows.  A segment's
+windows are held as one `WindowSet`: a C-contiguous (n, L, K) `past` array
+and an (n, M, K) `future` array, copied out of a single
+`sliding_window_view` of the segment, so past[i] = segment[i : i+L] and
+future[i] = segment[i+L : i+L+M].  Splits are chronological, applied to the
+raw series before windowing, so windows never cross a split boundary.
+Standardization statistics come from the train segment alone and are shared
+by the validation and test segments.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .rng import Rng
@@ -68,26 +73,18 @@ class SeriesDataset:
         return np.asarray(values) * self.std + self.mean
 
 
-@dataclass
-class WindowPair:
-    """L past rows and the M rows that follow them, starting one step later.
+@dataclass(frozen=True, eq=False)
+class WindowSet:
+    """All windows of one segment: past (n, L, K) and future (n, M, K).
 
-    origin_index is the segment row index of the last past row, so
-    past = segment[origin_index-L+1 : origin_index+1] and
-    future = segment[origin_index+1 : origin_index+1+M].
+    Both are C-contiguous float64 arrays that own their memory.
     """
 
     past: np.ndarray
     future: np.ndarray
-    origin_index: int
 
-    def __post_init__(self):
-        self.past = np.asarray(self.past, dtype=np.float64)
-        self.future = np.asarray(self.future, dtype=np.float64)
-        if self.past.ndim != 2 or self.future.ndim != 2:
-            raise DataError("window slices must be 2-D")
-        if self.past.shape[1] != self.future.shape[1]:
-            raise DataError("past and future must share the feature axis")
+    def __len__(self) -> int:
+        return self.past.shape[0]
 
 
 @dataclass(frozen=True)
@@ -248,38 +245,30 @@ def split_and_standardize(
     )
 
 
-def windowize(segment: SeriesDataset, input_len: int, output_len: int) -> list[WindowPair]:
+def windowize(segment: SeriesDataset, input_len: int, output_len: int) -> WindowSet:
     """All stride-1 windows of a segment: count = T' - L - M + 1."""
     if input_len < 1 or output_len < 1:
         raise ConfigError("window lengths must be >= 1")
     values = segment.values
-    count = values.shape[0] - input_len - output_len + 1
-    if count <= 0:
+    span = input_len + output_len
+    if values.shape[0] < span:
         warnings.warn(
             f"segment of length {values.shape[0]} shorter than "
             f"{input_len}+{output_len}; no windows",
             stacklevel=2,
         )
-        return []
-    out = []
-    for origin in range(input_len - 1, input_len - 1 + count):
-        out.append(
-            WindowPair(
-                past=values[origin - input_len + 1 : origin + 1],
-                future=values[origin + 1 : origin + 1 + output_len],
-                origin_index=origin,
-            )
-        )
-    return out
+        k = values.shape[1]
+        return WindowSet(np.empty((0, input_len, k)), np.empty((0, output_len, k)))
+    # (n, K, span) view of the segment, transposed to (n, span, K)
+    view = sliding_window_view(values, span, axis=0).transpose(0, 2, 1)
+    return WindowSet(view[:, :input_len].copy(), view[:, input_len:].copy())
 
 
-def stack_windows(windows: list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a window list into (n, L, K) past and (n, M, K) future tensors."""
+def stack_windows(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, L, K) past and (n, M, K) future tensors of a window set."""
     if not windows:
         raise DataError("empty window set")
-    past = np.stack([w.past for w in windows])
-    future = np.stack([w.future for w in windows])
-    return past, future
+    return windows.past, windows.future
 
 
 def batch_indices(

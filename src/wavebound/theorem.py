@@ -58,6 +58,8 @@ class LinearGaussianPopulation:
         self.noise_std = np.asarray(self.noise_std, dtype=np.float64)
         if self.true_map.ndim != 2 or self.noise_std.shape != self.true_map.shape:
             raise ConfigError("true_map and noise_std must be matching (M, K) matrices")
+        if self.true_map.size == 0:
+            raise ConfigError(f"population matrices must be non-empty, got {self.true_map.shape}")
         if not _all_finite(self.true_map, self.noise_std):
             raise ConfigError("population parameters must be finite")
         if not 0 < self.input_std < np.inf:
@@ -326,6 +328,8 @@ def reference_instance(trials: int = 20000, seed: int = 2024) -> OracleInstance:
 
 def run_full_oracle(instance: OracleInstance, jensen_draws: int = 10) -> OracleReport:
     """Estimator experiment plus randomized batch-mean bound audits."""
+    if jensen_draws < 0:
+        raise ConfigError(f"jensen_draws must be >= 0, got {jensen_draws}")
     report = run_estimator_experiment(instance)
     rng = Rng(instance.seed, ("jensen",))
     violations = 0

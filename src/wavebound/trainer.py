@@ -92,34 +92,30 @@ class EpochRecord:
 class TrainLog:
     """Per-epoch training history.
 
-    Wall-clock seconds are kept in memory but excluded from file exports by
-    default so identical runs write identical bytes.
+    Wall-clock seconds are kept in memory only; the file exports leave them
+    out so identical runs write identical bytes.
     """
 
     records: list[EpochRecord] = field(default_factory=list)
     eval_network: str = "target"
 
-    def to_csv(self, path, include_timing: bool = False) -> None:
+    def to_csv(self, path) -> None:
         if not self.records:
             raise ConfigError("empty training log")
         n_steps = len(self.records[0].per_step_test_mse)
         cols = ["epoch", "train_objective", "train_mse", "val_mse", "test_mse"]
         cols += [f"test_mse_step_{j}" for j in range(n_steps)]
-        if include_timing:
-            cols.append("seconds")
         lines = [",".join(cols)]
         for r in self.records:
             row = [str(r.epoch)] + [
                 repr(v) for v in (r.train_objective, r.train_mse, r.val_mse, r.test_mse)
             ]
             row += [repr(float(v)) for v in r.per_step_test_mse]
-            if include_timing:
-                row.append(repr(r.seconds))
             lines.append(",".join(row))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    def to_jsonl(self, path, include_timing: bool = False) -> None:
+    def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for r in self.records:
                 rec = {
@@ -130,8 +126,6 @@ class TrainLog:
                     "test_mse": r.test_mse,
                     "per_step_test_mse": [float(v) for v in r.per_step_test_mse],
                 }
-                if include_timing:
-                    rec["seconds"] = r.seconds
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 

@@ -314,12 +314,16 @@ class TestTheorem:
             ("input_std", "inf"),
             ("g_offset", "nan"),
             ("g_star_offset", "inf"),
+            ("rows", "0"),
+            ("cols", "-1"),
+            ("jensen_draws", "-1"),
         ],
     )
     def test_non_finite_setting_is_config_error(self, tmp_path, capsys, key, value):
-        # report.json would otherwise carry NaN, which is not valid JSON
+        # report.json would otherwise carry NaN, which is not valid JSON; an
+        # empty or negative shape and a negative audit count fail the same way
         code, _, stderr = run_cli(
-            capsys, "theorem", "--out", str(tmp_path / "x"), "--set", f"{key}={value}", *self.ARGS,
+            capsys, "theorem", "--out", str(tmp_path / "x"), *self.ARGS, "--set", f"{key}={value}",
         )
         assert code == 2
         assert not (tmp_path / "x" / "report.json").exists()
@@ -330,3 +334,27 @@ class TestTheorem:
             "--set", "noise_std=-1.0", *self.ARGS,
         )
         assert code == 2
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be created or written exits 3, not a traceback."""
+
+    def test_train_out_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        code, _, stderr = run_cli(capsys, "train", "--out", str(tmp_path / "f" / "run"), *SMALL)
+        assert code == 3
+        assert stderr.startswith("error: ")
+
+    def test_synth_out_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        code, _, stderr = run_cli(
+            capsys, "synth", "--length", "10", "--out", str(tmp_path / "f" / "x.csv")
+        )
+        assert code == 3
+        assert stderr.startswith("error: ")
+
+    def test_train_log_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "run" / "train_log.csv").mkdir(parents=True)
+        code, _, stderr = run_cli(capsys, "train", "--out", str(tmp_path / "run"), *SMALL)
+        assert code == 3
+        assert stderr.startswith("error: ") and "train_log.csv" in stderr

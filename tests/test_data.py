@@ -157,17 +157,28 @@ class TestWindowize:
 
     def test_first_window_rows(self):
         windows = windowize(self.segment(10), 4, 2)
-        first = windows[0]
-        assert np.array_equal(first.past[:, 0], [0, 1, 2, 3])
-        assert np.array_equal(first.future[:, 0], [4, 5])
-        assert first.origin_index == 3
+        assert np.array_equal(windows.past[0, :, 0], [0, 1, 2, 3])
+        assert np.array_equal(windows.future[0, :, 0], [4, 5])
 
     def test_contiguity(self):
+        seg = self.segment(15, k=2)
+        for input_len, output_len in [(1, 1), (4, 2), (2, 5), (3, 3), (7, 1)]:
+            windows = windowize(seg, input_len, output_len)
+            assert windows.past.shape == (len(windows), input_len, 2)
+            assert windows.future.shape == (len(windows), output_len, 2)
+            for i in range(len(windows)):
+                assert np.array_equal(windows.past[i], seg.values[i : i + input_len])
+                assert np.array_equal(
+                    windows.future[i], seg.values[i + input_len : i + input_len + output_len]
+                )
+
+    def test_arrays_are_contiguous_writable_copies(self):
         seg = self.segment(12, k=2)
-        for w in windowize(seg, 4, 2):
-            joined = np.concatenate([w.past, w.future])
-            start = w.origin_index - 3
-            assert np.array_equal(joined, seg.values[start : start + 6])
+        windows = windowize(seg, 4, 3)
+        for array in (windows.past, windows.future):
+            assert array.dtype == np.float64
+            assert array.flags.c_contiguous and array.flags.writeable
+            assert not np.shares_memory(array, seg.values)
 
     def test_count_formula_random_triples(self):
         rng = Rng(11)
@@ -179,32 +190,36 @@ class TestWindowize:
             if total < input_len + output_len:
                 with pytest.warns(UserWarning):
                     windows = windowize(seg, input_len, output_len)
-                assert windows == []
+                assert len(windows) == 0
             else:
                 windows = windowize(seg, input_len, output_len)
                 assert len(windows) == total - input_len - output_len + 1
 
     def test_too_short_warns_and_returns_empty(self):
         with pytest.warns(UserWarning, match="no windows"):
-            assert windowize(self.segment(3), 4, 2) == []
+            windows = windowize(self.segment(3, k=2), 4, 2)
+        assert len(windows) == 0
+        assert windows.past.shape == (0, 4, 2) and windows.future.shape == (0, 2, 2)
 
     def test_stack_windows(self):
         windows = windowize(self.segment(10), 4, 2)
         past, future = stack_windows(windows)
+        assert past is windows.past and future is windows.future
         assert past.shape == (5, 4, 1)
         assert future.shape == (5, 2, 1)
-        with pytest.raises(DataError):
-            stack_windows([])
+        with pytest.warns(UserWarning, match="no windows"):
+            empty = windowize(self.segment(3), 4, 2)
+        with pytest.raises(DataError, match="empty window set"):
+            stack_windows(empty)
 
     def test_no_leakage_across_split_boundaries(self):
         ds = SeriesDataset(np.arange(40, dtype=float)[:, None], ["x"])
         train, val, test = split_and_standardize(ds, SplitSpec(), standardize=False)
         a, b = SplitSpec().boundaries(40)
-        for w in windowize(train, 3, 2):
-            assert w.future[-1, 0] <= ds.values[a - 1, 0]
-        for w in windowize(val, 3, 2):
-            assert ds.values[a, 0] <= w.past[0, 0]
-            assert w.future[-1, 0] <= ds.values[b - 1, 0]
+        assert (windowize(train, 3, 2).future[:, -1, 0] <= ds.values[a - 1, 0]).all()
+        val_windows = windowize(val, 3, 2)
+        assert (ds.values[a, 0] <= val_windows.past[:, 0, 0]).all()
+        assert (val_windows.future[:, -1, 0] <= ds.values[b - 1, 0]).all()
 
 
 class TestBatches:

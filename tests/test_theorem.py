@@ -34,6 +34,8 @@ class TestPopulation:
         with pytest.raises(ConfigError):
             # one element with zero coefficient and zero noise has no variance
             LinearGaussianPopulation(np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ConfigError, match="non-empty"):
+            LinearGaussianPopulation(np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_true_risk_closed_form(self):
         pop = LinearGaussianPopulation(
