@@ -71,6 +71,11 @@ def _digest(out: Path, names) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
+def _every_file(root: Path) -> dict:
+    """Hashes of all files under root by relative path, so a stray file fails too."""
+    return _digest(root, sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()))
+
+
 def _train_case(objective: str, network: str, *extra: str):
     def run(tmp: Path) -> dict:
         _cli("train", "--out", tmp, *TRAIN_ARGS,
@@ -113,6 +118,27 @@ def _theorem_case(tmp: Path) -> dict:
     return _digest(tmp, ["report.json"])
 
 
+def _every_file_case(command: str):
+    """Every file a command leaves behind: the logs, config and reports too."""
+    extra = {
+        "train": ("--set", "objective=wave_indiv"),
+        "sweep": ("--set", "objective=wave_indiv", "--param", "learning_rate",
+                  "--values", "0.0001,0.001"),
+        "theorem": ("--set", "trials=500", "--set", "jensen_draws=3"),
+    }
+
+    def run(tmp: Path) -> dict:
+        if command == "eval":
+            _eval_case(tmp)
+        elif command == "theorem":
+            _cli("theorem", "--out", tmp, *extra["theorem"])
+        else:
+            _cli(command, "--out", tmp, *TRAIN_ARGS, *extra[command])
+        return _every_file(tmp)
+
+    return run
+
+
 CASES = {
     **{f"train/{o}/{n}": _train_case(o, n) for o in OBJECTIVE_KINDS for n in EVAL_NETWORKS},
     # Batch risks here sit near 1.0, far above b=0.05, so the runs above
@@ -123,6 +149,7 @@ CASES = {
     "sweep/learning_rate": _sweep_case,
     "eval/test": _eval_case,
     "theorem": _theorem_case,
+    **{f"every_file/{c}": _every_file_case(c) for c in ("train", "eval", "sweep", "theorem")},
 }
 
 
