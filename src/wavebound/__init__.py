@@ -7,12 +7,11 @@ that supplies per-output error bounds, flooding-style objectives, and a
 Monte-Carlo oracle for the estimator-variance reduction claim.
 """
 
-from .adam import AdamState, adam_init, adam_step
+from .adam import adam_init, adam_step
 from .checkpoint import checkpoint_load, checkpoint_save
 from .data import (
     SeriesDataset,
     SplitSpec,
-    WindowSet,
     batch_indices,
     load_csv,
     save_csv,
@@ -24,21 +23,9 @@ from .data import (
 )
 from .ema import EmaMirror, ema_init, ema_update
 from .errors import ConfigError, DataError, NumericError, WaveboundError
-from .evaluation import (
-    MetricRecord,
-    evaluate,
-    generalization_gap,
-    loss_slice,
-)
-from .nn import (
-    ACTIVATIONS,
-    ModelParams,
-    mlp_backward_batch,
-    mlp_forward_batch,
-    new_forecaster,
-)
+from .evaluation import evaluate, generalization_gap, loss_slice
+from .nn import ModelParams, mlp_backward_batch, mlp_forward_batch, new_forecaster
 from .objectives import (
-    OBJECTIVE_KINDS,
     ObjectiveKind,
     RiskMatrix,
     flood_elementwise,
@@ -51,7 +38,6 @@ from .rng import Rng
 from .theorem import (
     LinearGaussianPopulation,
     OracleInstance,
-    OracleReport,
     jensen_audit,
     jensen_violations,
     predict,
@@ -61,17 +47,6 @@ from .theorem import (
     sample,
     true_risk,
 )
-from .trainer import (
-    EPSILON_GRID,
-    FLOOD_LEVEL_GRID,
-    LEARNING_RATE_GRID,
-    EpochRecord,
-    SweepRow,
-    TrainConfig,
-    TrainLog,
-    TrainResult,
-    sweep,
-    train,
-)
+from .trainer import TrainConfig, sweep, train
 
 __version__ = "0.1.0"

@@ -16,6 +16,10 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .nn import ModelParams
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -29,13 +33,7 @@ def adam_init(params: ModelParams) -> AdamState:
 
 
 def adam_step(
-    params: ModelParams,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: ModelParams, grads: np.ndarray, state: AdamState, lr: float
 ) -> tuple[ModelParams, AdamState]:
     """One Adam update on a flat gradient; returns (new params, new state)."""
     if np.shape(grads) != params.flat.shape:
@@ -46,9 +44,9 @@ def adam_step(
         raise ConfigError("step_count must be >= 0")
 
     t = state.step_count + 1
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    m = beta1 * state.first_moment + (1.0 - beta1) * grads
-    v = beta2 * state.second_moment + (1.0 - beta2) * grads * grads
-    step = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    m = BETA1 * state.first_moment + (1.0 - BETA1) * grads
+    v = BETA2 * state.second_moment + (1.0 - BETA2) * grads * grads
+    step = lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params.with_flat(params.flat - step), AdamState(m, v, t)

@@ -5,7 +5,9 @@ ignored); any key can be overridden on the command line with repeated
 `--set KEY=VALUE` flags, and flags win.  Every run writes the fully
 resolved configuration next to its outputs, and all output files are
 byte-identical across reruns with the same inputs (wall-clock timing goes
-to stderr only).
+to stderr only).  A run's files appear in --out together or not at all:
+they are written into a `.partial-*` directory inside it and renamed into
+place only when the whole run has succeeded.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -14,8 +16,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -30,6 +35,7 @@ from .data import (
     stack_windows,
     synth_series,
     windowize,
+    write_rows,
 )
 from .errors import ConfigError, DataError, NumericError, WaveboundError
 from .evaluation import evaluate, generalization_gap
@@ -78,41 +84,34 @@ THEOREM_DEFAULTS = {
     "jensen_draws": "10",
 }
 
+SPLITS = ("train", "val", "test")
+METRICS_HEADER = ("split", "mse", "mae", "samples")
+
+
+def _split_pair(text: str, where: str) -> tuple[str, str]:
+    if "=" not in text:
+        raise ConfigError(f"{where} KEY=VALUE, got {text!r}")
+    key, value = text.split("=", 1)
+    return key.strip(), value.strip()
+
 
 def _load_config_file(path) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+            lines = [(n, raw.strip()) for n, raw in enumerate(fh, start=1)]
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    out = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _parse_sets(pairs) -> dict[str, str]:
-    out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+    return dict(
+        _split_pair(line, f"{path}:{n}: expected")
+        for n, line in lines
+        if line and not line.startswith("#")
+    )
 
 
 def _resolve(defaults: dict[str, str], config_path, sets) -> dict[str, str]:
     cfg = dict(defaults)
-    overrides = {}
-    if config_path:
-        overrides.update(_load_config_file(config_path))
-    overrides.update(_parse_sets(sets))
+    overrides = _load_config_file(config_path) if config_path else {}
+    overrides.update(_split_pair(pair, "--set expects") for pair in sets or [])
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
@@ -143,18 +142,36 @@ def _as_bool(cfg: dict[str, str], key: str) -> bool:
     raise ConfigError(f"config key {key} must be true/false, got {cfg[key]!r}")
 
 
-def _write_resolved(cfg: dict[str, str], out_dir) -> None:
-    path = os.path.join(out_dir, "resolved_config.txt")
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(cfg):
-            fh.write(f"{key}={cfg[key]}\n")
+        fh.write(text)
 
 
-def _ensure_out(path) -> str:
-    if not path:
+@contextlib.contextmanager
+def _outputs(out_dir, cfg: dict[str, str]):
+    """Stage a run's files and move them into out_dir together on success.
+
+    Yields `path(name)`, the staged location of output `name`.  The stage is
+    made before any work, so a bad --out fails first, and is removed on
+    every exit; nothing under an output's name changes unless the block
+    succeeds.
+    """
+    if not out_dir:
         raise ConfigError("--out is required")
-    os.makedirs(path, exist_ok=True)
-    return path
+    os.makedirs(out_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".partial-", dir=out_dir)
+    try:
+        _write_text(os.path.join(stage, "resolved_config.txt"),
+                    "".join(f"{key}={cfg[key]}\n" for key in sorted(cfg)))
+        yield lambda name: os.path.join(stage, name)
+        moves = [(os.path.join(stage, n), os.path.join(out_dir, n)) for n in sorted(os.listdir(stage))]
+        for _, target in moves:
+            if os.path.isdir(target):
+                raise DataError(f"cannot write {target}: it is a directory")
+        for staged, target in moves:
+            os.replace(staged, target)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _train_config(cfg: dict[str, str]) -> TrainConfig:
@@ -172,6 +189,27 @@ def _train_config(cfg: dict[str, str]) -> TrainConfig:
         seed=_as_int(cfg, "seed"),
         hidden_dim=_as_int(cfg, "hidden_dim"),
         eval_network=cfg["eval_network"],
+    )
+
+
+def _oracle_instance(cfg: dict[str, str]) -> OracleInstance:
+    shape = (_as_int(cfg, "rows"), _as_int(cfg, "cols"))
+    if min(shape) < 1:
+        raise ConfigError(f"rows and cols must be >= 1, got {shape}")
+    population = LinearGaussianPopulation(
+        true_map=np.full(shape, _as_float(cfg, "true_coeff")),
+        noise_std=np.full(shape, _as_float(cfg, "noise_std")),
+        input_std=_as_float(cfg, "input_std"),
+    )
+    return OracleInstance(
+        population=population,
+        g=population.true_map + _as_float(cfg, "g_offset"),
+        g_star=population.true_map + _as_float(cfg, "g_star_offset"),
+        epsilon=_as_float(cfg, "epsilon"),
+        n_samples=_as_int(cfg, "n_samples"),
+        trials=_as_int(cfg, "trials"),
+        margin_alpha=_as_float(cfg, "margin_alpha"),
+        seed=_as_int(cfg, "seed"),
     )
 
 
@@ -206,20 +244,6 @@ def _prepare_data(cfg: dict[str, str]):
     return tuple(sets)
 
 
-def _write_metric_rows(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("split,mse,mae,samples\n")
-        for name, record in rows:
-            fh.write(f"{name},{record.mse!r},{record.mae!r},{record.sample_count}\n")
-
-
-def _write_per_step(path, per_step) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,mse\n")
-        for j, value in enumerate(per_step):
-            fh.write(f"{j},{float(value)!r}\n")
-
-
 def cmd_synth(args) -> int:
     if args.length < 1:
         raise ConfigError("length must be >= 1")
@@ -233,62 +257,51 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
-    out_dir = _ensure_out(args.out)
-    config = _train_config(cfg)
-    train_set, val_set, test_set = _prepare_data(cfg)
-    started = time.perf_counter()
-    result = train(config, train_set, val_set, test_set)
-    elapsed = time.perf_counter() - started
+    with _outputs(args.out, cfg) as path:
+        config = _train_config(cfg)
+        sets = _prepare_data(cfg)
+        started = time.perf_counter()
+        result = train(config, *sets)
+        elapsed = time.perf_counter() - started
 
-    _write_resolved(cfg, out_dir)
-    result.log.to_csv(os.path.join(out_dir, "train_log.csv"))
-    result.log.to_jsonl(os.path.join(out_dir, "train_log.jsonl"))
-    gap = generalization_gap(result.log)
-    with open(os.path.join(out_dir, "generalization_gap.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,gap\n")
-        for record, value in zip(result.log.records, gap):
-            fh.write(f"{record.epoch},{float(value)!r}\n")
-    rows = [
-        (name, evaluate(result.params, past, future))
-        for name, (past, future) in (("train", train_set), ("val", val_set), ("test", test_set))
-    ]
-    _write_metric_rows(os.path.join(out_dir, "metrics.csv"), rows)
-    _write_per_step(os.path.join(out_dir, "per_step_test_mse.csv"), rows[2][1].per_step_mse)
-    checkpoint_save(os.path.join(out_dir, "model.ckpt"), result.params, result.mirror)
+        result.log.to_csv(path("train_log.csv"))
+        result.log.to_jsonl(path("train_log.jsonl"))
+        gap = generalization_gap(result.log)
+        write_rows(path("generalization_gap.csv"), ("epoch", "gap"),
+                   ((record.epoch, value) for record, value in zip(result.log.records, gap)))
+        metrics = {name: evaluate(result.params, *s) for name, s in zip(SPLITS, sets)}
+        write_rows(path("metrics.csv"), METRICS_HEADER,
+                   ((name, m.mse, m.mae, m.sample_count) for name, m in metrics.items()))
+        write_rows(path("per_step_test_mse.csv"), ("step", "mse"),
+                   enumerate(metrics["test"].per_step_mse))
+        checkpoint_save(path("model.ckpt"), result.params, result.mirror)
 
     print(f"objective={config.objective.describe()}")
     print(f"eval_network={config.eval_network}")
     print(f"epochs_run={len(result.log.records)} best_epoch={result.best_epoch}")
-    print(f"val_mse={rows[1][1].mse!r} test_mse={rows[2][1].mse!r}")
+    print(f"val_mse={metrics['val'].mse!r} test_mse={metrics['test'].mse!r}")
     print(f"seconds={elapsed:.1f}", file=sys.stderr)
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
-    out_dir = _ensure_out(args.out)
-    if not args.values:
-        raise ConfigError("sweep needs a non-empty --values list")
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
-    if not values:
-        raise ConfigError("sweep needs a non-empty --values list")
-    config = _train_config(cfg)
-    train_set, val_set, test_set = _prepare_data(cfg)
-    started = time.perf_counter()
-    rows = sweep(config, args.param, values, train_set, val_set, test_set, workers=args.workers)
-    elapsed = time.perf_counter() - started
-
-    _write_resolved(cfg, out_dir)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rank,param,value,val_mse,test_mse,train_mse,best_epoch\n")
-        for rank, row in enumerate(rows):
-            fh.write(
-                f"{rank},{row.param},{row.value!r},{row.val_mse!r},"
-                f"{row.test_mse!r},{row.train_mse!r},{row.best_epoch}\n"
-            )
+    with _outputs(args.out, cfg) as path:
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        except ValueError:
+            raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
+        if not values:
+            raise ConfigError("sweep needs a non-empty --values list")
+        config = _train_config(cfg)
+        started = time.perf_counter()
+        rows = sweep(config, args.param, values, *_prepare_data(cfg), workers=args.workers)
+        elapsed = time.perf_counter() - started
+        header = ("rank", "param", "value", "val_mse", "test_mse", "train_mse", "best_epoch")
+        write_rows(path("sweep.csv"), header, (
+            (rank, r.param, r.value, r.val_mse, r.test_mse, r.train_mse, r.best_epoch)
+            for rank, r in enumerate(rows)
+        ))
     print(f"grid_points={len(rows)} best_{args.param}={rows[0].value!r} "
           f"best_val_mse={rows[0].val_mse!r}")
     print(f"seconds={elapsed:.1f}", file=sys.stderr)
@@ -297,46 +310,25 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
-    out_dir = _ensure_out(args.out)
-    params, _mirror = checkpoint_load(args.checkpoint)
-    sets = dict(zip(("train", "val", "test"), _prepare_data(cfg)))
-    past, future = sets[args.split]
-    record = evaluate(params, past, future)
-    _write_resolved(cfg, out_dir)
-    _write_metric_rows(os.path.join(out_dir, "metrics.csv"), [(args.split, record)])
-    _write_per_step(os.path.join(out_dir, "per_step_mse.csv"), record.per_step_mse)
-    print(f"split={args.split} mse={record.mse!r} mae={record.mae!r}")
+    with _outputs(args.out, cfg) as path:
+        params, _mirror = checkpoint_load(args.checkpoint)
+        sets = dict(zip(SPLITS, _prepare_data(cfg)))
+        m = evaluate(params, *sets[args.split])
+        write_rows(path("metrics.csv"), METRICS_HEADER, [(args.split, m.mse, m.mae, m.sample_count)])
+        write_rows(path("per_step_mse.csv"), ("step", "mse"), enumerate(m.per_step_mse))
+    print(f"split={args.split} mse={m.mse!r} mae={m.mae!r}")
     return 0
 
 
 def cmd_theorem(args) -> int:
     cfg = _resolve(THEOREM_DEFAULTS, args.config, args.set)
-    out_dir = _ensure_out(args.out)
-    shape = (_as_int(cfg, "rows"), _as_int(cfg, "cols"))
-    if min(shape) < 1:
-        raise ConfigError(f"rows and cols must be >= 1, got {shape}")
-    population = LinearGaussianPopulation(
-        true_map=np.full(shape, _as_float(cfg, "true_coeff")),
-        noise_std=np.full(shape, _as_float(cfg, "noise_std")),
-        input_std=_as_float(cfg, "input_std"),
-    )
-    instance = OracleInstance(
-        population=population,
-        g=population.true_map + _as_float(cfg, "g_offset"),
-        g_star=population.true_map + _as_float(cfg, "g_star_offset"),
-        epsilon=_as_float(cfg, "epsilon"),
-        n_samples=_as_int(cfg, "n_samples"),
-        trials=_as_int(cfg, "trials"),
-        margin_alpha=_as_float(cfg, "margin_alpha"),
-        seed=_as_int(cfg, "seed"),
-    )
-    started = time.perf_counter()
-    report = run_full_oracle(instance, jensen_draws=_as_int(cfg, "jensen_draws"))
-    elapsed = time.perf_counter() - started
-    _write_resolved(cfg, out_dir)
-    report.to_json(os.path.join(out_dir, "report.json"))
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.table() + "\n")
+    with _outputs(args.out, cfg) as path:
+        instance = _oracle_instance(cfg)
+        started = time.perf_counter()
+        report = run_full_oracle(instance, jensen_draws=_as_int(cfg, "jensen_draws"))
+        elapsed = time.perf_counter() - started
+        report.to_json(path("report.json"))
+        _write_text(path("report.txt"), report.table() + "\n")
     print(report.table())
     print(f"seconds={elapsed:.1f}", file=sys.stderr)
     return 0
@@ -373,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=1)
         if "checkpoint" in extra:
             p.add_argument("--checkpoint", required=True)
-            p.add_argument("--split", default="test", choices=("train", "val", "test"))
+            p.add_argument("--split", default="test", choices=SPLITS)
         p.set_defaults(func=func)
     return parser
 

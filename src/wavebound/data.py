@@ -1,4 +1,4 @@
-"""Series generation, CSV ingestion, splitting, windowing, and batching.
+"""Series generation, CSV ingestion and output, splitting, windowing, batching.
 
 A series is a (T, K) float64 matrix: T time steps, K features.  A window
 pairs L past rows with the M rows that follow immediately; stride is 1, so
@@ -197,6 +197,20 @@ def save_csv(dataset: SeriesDataset, path) -> None:
         writer.writerow(["date"] + list(dataset.feature_names))
         for i, row in enumerate(dataset.values):
             writer.writerow([i] + [repr(float(v)) for v in row])
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a header and comma-joined rows as utf-8 lines with bare newline ends.
+
+    Floats are written as repr(float(v)), so they round-trip exactly; every
+    other field as str(v).
+    """
+    lines = [header] + [
+        [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row]
+        for row in rows
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(",".join(line) + "\n" for line in lines)
 
 
 def select_feature(dataset: SeriesDataset, name: str | None = None) -> SeriesDataset:

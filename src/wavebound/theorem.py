@@ -291,7 +291,6 @@ def jensen_audit(
     epsilon: float,
     batch_size: int,
     flood_b: float = 0.1,
-    tol: float = 1e-12,
 ) -> int:
     """Audit the batch-mean bounds for coefficient predictors on (x, y)."""
     if batch_size < 1:
@@ -299,7 +298,7 @@ def jensen_audit(
     n = x.shape[0]
     sizes = [min(batch_size, n - start) for start in range(0, n, batch_size)]
     return jensen_violations(
-        predict(g, x), predict(g_star, x), y, sizes, epsilon, flood_b, tol
+        predict(g, x), predict(g_star, x), y, sizes, epsilon, flood_b
     )
 
 

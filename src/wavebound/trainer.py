@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adam import adam_init, adam_step
-from .data import batch_indices
+from .data import batch_indices, write_rows
 from .ema import EmaMirror, ema_init, ema_update
 from .errors import ConfigError, NumericError
 from .evaluation import evaluate
@@ -65,6 +65,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
         if not np.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be finite, got {self.learning_rate!r}")
+        if self.frozen_target_risk is not None and not np.isfinite(self.frozen_target_risk):
+            raise ConfigError(f"frozen_target_risk must be finite, got {self.frozen_target_risk!r}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
         if self.patience < 1:
@@ -105,15 +107,10 @@ class TrainLog:
         n_steps = len(self.records[0].per_step_test_mse)
         cols = ["epoch", "train_objective", "train_mse", "val_mse", "test_mse"]
         cols += [f"test_mse_step_{j}" for j in range(n_steps)]
-        lines = [",".join(cols)]
-        for r in self.records:
-            row = [str(r.epoch)] + [
-                repr(v) for v in (r.train_objective, r.train_mse, r.val_mse, r.test_mse)
-            ]
-            row += [repr(float(v)) for v in r.per_step_test_mse]
-            lines.append(",".join(row))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_rows(path, cols, (
+            [r.epoch, r.train_objective, r.train_mse, r.val_mse, r.test_mse, *r.per_step_test_mse]
+            for r in self.records
+        ))
 
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

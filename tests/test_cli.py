@@ -55,16 +55,16 @@ class TestTrain:
         out = tmp_path / "run"
         code, stdout, stderr = run_cli(capsys, "train", "--out", str(out), *SMALL)
         assert code == 0
-        for name in (
+        # exactly the outputs: no staging directory or temporary file is left
+        assert sorted(os.listdir(out)) == [
+            "generalization_gap.csv",
+            "metrics.csv",
+            "model.ckpt",
+            "per_step_test_mse.csv",
             "resolved_config.txt",
             "train_log.csv",
             "train_log.jsonl",
-            "generalization_gap.csv",
-            "metrics.csv",
-            "per_step_test_mse.csv",
-            "model.ckpt",
-        ):
-            assert (out / name).exists(), name
+        ]
         assert "val_mse=" in stdout and "test_mse=" in stdout
         # wall clock goes to stderr only
         assert "seconds=" not in stdout
@@ -75,6 +75,16 @@ class TestTrain:
         run_cli(capsys, "train", "--out", str(a), *SMALL)
         run_cli(capsys, "train", "--out", str(b), *SMALL)
         assert read_dir(a) == read_dir(b)
+
+    def test_rerun_into_non_empty_out_replaces_its_files(self, tmp_path, capsys):
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        out.mkdir()
+        (out / "notes.txt").write_bytes(b"kept\n")
+        run_cli(capsys, "train", "--out", str(out), *SMALL, "--set", "seed=1")
+        code, _, _ = run_cli(capsys, "train", "--out", str(out), *SMALL, "--set", "seed=2")
+        assert code == 0
+        run_cli(capsys, "train", "--out", str(fresh), *SMALL, "--set", "seed=2")
+        assert read_dir(out) == {**read_dir(fresh), "notes.txt": b"kept\n"}
 
     def test_flag_beats_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -358,3 +368,42 @@ class TestUnwritableOutput:
         code, _, stderr = run_cli(capsys, "train", "--out", str(tmp_path / "run"), *SMALL)
         assert code == 3
         assert stderr.startswith("error: ") and "train_log.csv" in stderr
+        # all or nothing: no resolved_config.txt, no staging directory
+        assert os.listdir(tmp_path / "run") == ["train_log.csv"]
+
+
+def _fail(*args, **kwargs):
+    raise OSError("injected write failure")
+
+
+class TestAllOrNothingOutputs:
+    """A run that fails after writing some outputs adds no file to --out."""
+
+    @pytest.mark.parametrize(
+        "command,target,args",
+        [
+            ("train", "wavebound.cli.checkpoint_save", SMALL),
+            ("sweep", "wavebound.cli.write_rows",
+             ["--param", "learning_rate", "--values", "0.0001", *SMALL]),
+            ("eval", "wavebound.cli.write_rows", ["--checkpoint", "CKPT", *SMALL]),
+            ("theorem", "wavebound.theorem.OracleReport.to_json",
+             ["--set", "trials=200", "--set", "jensen_draws=2"]),
+        ],
+        ids=["train", "sweep", "eval", "theorem"],
+    )
+    def test_injected_failure_leaves_out_unchanged(
+        self, tmp_path, capsys, monkeypatch, command, target, args
+    ):
+        ckpt = tmp_path / "trained" / "model.ckpt"
+        if command == "eval":
+            run_cli(capsys, "train", "--out", str(ckpt.parent), *SMALL)
+        out = tmp_path / "out"
+        out.mkdir()
+        # an earlier output under a name this run writes too
+        (out / "metrics.csv").write_bytes(b"split,mse,mae,samples\nold,1.0,1.0,1\n")
+        monkeypatch.setattr(target, _fail)
+        argv = [str(ckpt) if a == "CKPT" else a for a in args]
+        code, _, stderr = run_cli(capsys, command, "--out", str(out), *argv)
+        assert code == 3
+        assert "injected write failure" in stderr
+        assert read_dir(out) == {"metrics.csv": b"split,mse,mae,samples\nold,1.0,1.0,1\n"}

@@ -75,6 +75,16 @@ class TestConfigValidation:
     def test_zero_learning_rate_allowed(self):
         make_config(ObjectiveKind.plain(), learning_rate=0.0)
 
+    @pytest.mark.parametrize("risk", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_frozen_target_risk_rejected(self, risk):
+        # a config error, not "non-finite objective" at iteration 0
+        with pytest.raises(ConfigError, match="frozen_target_risk must be finite"):
+            make_config(ObjectiveKind.wave_indiv(0.01), frozen_target_risk=risk)
+
+    def test_negative_frozen_target_risk_allowed(self):
+        # bounds may be negative (objectives.py), so a negative frozen risk is legal
+        make_config(ObjectiveKind.wave_indiv(0.01), frozen_target_risk=-0.5)
+
     def test_empty_validation_set_rejected(self):
         cfg = make_config(ObjectiveKind.plain())
         empty = (np.zeros((0, L, K)), np.zeros((0, M, K)))
