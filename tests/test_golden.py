@@ -100,6 +100,14 @@ def _multifeature_case(tmp: Path) -> dict:
     return _digest(tmp / "run", ("train_log.csv", "metrics.csv", "model.ckpt"))
 
 
+def _multiblock_case(tmp: Path) -> dict:
+    """72 200 parameters: two full blocks of the Adam and EMA updates plus a
+    ragged tail, where every other case fits inside one block."""
+    _cli("train", "--out", tmp, *TRAIN_ARGS, "--set", "hidden_dim=256",
+         "--set", "objective=wave_indiv")
+    return _digest(tmp, ("train_log.csv", "metrics.csv", "model.ckpt"))
+
+
 def _sweep_case(tmp: Path) -> dict:
     _cli("sweep", "--out", tmp, *TRAIN_ARGS, "--set", "objective=wave_indiv",
          "--param", "learning_rate", "--values", "0.0001,0.0003,0.001")
@@ -146,6 +154,7 @@ CASES = {
     **{f"train/{o}/b=1.0": _train_case(o, "target", "--set", "b=1.0")
        for o in ("flooding", "constant_flooding")},
     "train/wave_indiv/csv_k3": _multifeature_case,
+    "train/wave_indiv/hidden256": _multiblock_case,
     "sweep/learning_rate": _sweep_case,
     "eval/test": _eval_case,
     "theorem": _theorem_case,
