@@ -4,7 +4,9 @@ Bias-corrected first/second moments, one shared step counter.  The moments
 and the gradient share the layout of ModelParams.flat, so a step is one
 vectorised update.  Pure functional style: `adam_step` returns fresh params
 and state, leaving its inputs untouched, so snapshots taken during training
-stay valid.
+stay valid.  It writes those fresh buffers one cache-sized block at a time
+(`nn.blocks`), with every ufunc writing through `out=` in the order of the
+textbook expressions, so the results match them bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .nn import ModelParams
+from .nn import BLOCK, ModelParams, blocks
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -46,7 +48,26 @@ def adam_step(
     t = state.step_count + 1
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    m = BETA1 * state.first_moment + (1.0 - BETA1) * grads
-    v = BETA2 * state.second_moment + (1.0 - BETA2) * grads * grads
-    step = lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-    return params.with_flat(params.flat - step), AdamState(m, v, t)
+    flat = params.flat
+    new, m, v = np.empty_like(flat), np.empty_like(flat), np.empty_like(flat)
+    scratch = np.empty(min(BLOCK, flat.size))
+    for s in blocks(flat.size):
+        g, mb, vb, nb, tmp = grads[s], m[s], v[s], new[s], scratch[: s.stop - s.start]
+        # m = BETA1 * m + (1 - BETA1) * g
+        np.multiply(BETA1, state.first_moment[s], out=mb)
+        np.multiply(1.0 - BETA1, g, out=tmp)
+        np.add(mb, tmp, out=mb)
+        # v = BETA2 * v + (1 - BETA2) * g * g
+        np.multiply(BETA2, state.second_moment[s], out=vb)
+        np.multiply(1.0 - BETA2, g, out=tmp)
+        np.multiply(tmp, g, out=tmp)
+        np.add(vb, tmp, out=vb)
+        # new = p - lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+        np.divide(vb, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.add(tmp, EPS, out=tmp)
+        np.divide(mb, bc1, out=nb)
+        np.multiply(lr, nb, out=nb)
+        np.divide(nb, tmp, out=nb)
+        np.subtract(flat[s], nb, out=nb)
+    return params.with_flat(new), AdamState(m, v, t)

@@ -14,7 +14,9 @@ by the validation and test segments.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -191,12 +193,23 @@ def load_csv(path) -> SeriesDataset:
 
 
 def save_csv(dataset: SeriesDataset, path) -> None:
-    """Write a dataset in the load_csv format, with row indices as timestamps."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + list(dataset.feature_names))
-        for i, row in enumerate(dataset.values):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    """Write a dataset in the load_csv format, with row indices as timestamps.
+
+    The rows go to `<path>.tmp`, which replaces path only once complete, so
+    an interrupted write never leaves a shorter series at path.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["date"] + list(dataset.feature_names))
+            for i, row in enumerate(dataset.values):
+                writer.writerow([i] + [repr(float(v)) for v in row])
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_rows(path, header, rows) -> None:

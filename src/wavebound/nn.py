@@ -14,8 +14,12 @@ A model's parameters live in one contiguous float64 buffer, `flat`, in
 (w0, b0, w1, b1, ...) order, each tensor row-major; the per-layer weights
 and biases are views into it.  Gradients, Adam moments, the EMA target and
 the checkpoint payload share this layout, so each is a single array.
+Elementwise passes over that buffer (the Adam and EMA updates) walk it in
+`blocks` of BLOCK elements, so each block's operands stay in L2 cache.
 
-All functions are pure: they never mutate their arguments.
+All functions are pure: they never mutate their arguments.  The forward
+pass applies each layer's bias and activation in place on the fresh matmul
+result, so a layer costs one allocation.
 """
 
 from __future__ import annotations
@@ -26,6 +30,15 @@ from .errors import ConfigError
 from .rng import Rng
 
 ACTIVATIONS = ("tanh", "identity")
+
+# float64 elements per block of an elementwise pass over a flat buffer:
+# 256 KiB per operand, so the 7-8 operands of an Adam block fit in L2.
+BLOCK = 32768
+
+
+def blocks(size: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK elements covering range(size)."""
+    return [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
 
 
 def _geometry(layer_dims, activations, input_shape, output_shape):
@@ -145,10 +158,6 @@ def new_forecaster(
     )
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    return np.tanh(z) if name == "tanh" else z
-
-
 def _activate_grad(name: str, h: np.ndarray) -> np.ndarray:
     # derivative expressed through the activation output h
     return 1.0 - h * h if name == "tanh" else np.ones_like(h)
@@ -169,7 +178,10 @@ def _forward_flat(params: ModelParams, flat: np.ndarray) -> list[np.ndarray]:
     states = [flat]
     h = flat
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        h = _activate(act, h @ w.T + b)
+        h = h @ w.T
+        h += b
+        if act == "tanh":
+            np.tanh(h, out=h)
         states.append(h)
     return states
 

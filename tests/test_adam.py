@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from wavebound import (
     adam_step,
     new_forecaster,
 )
+from wavebound.adam import BETA1, BETA2, EPS, AdamState
+from wavebound.nn import BLOCK
+
+BLOCK_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7)
+OBJECTS = 16 * 1024  # headroom for the Python objects and array headers a call makes
 
 
 def scalar_model(value: float) -> ModelParams:
@@ -98,3 +105,64 @@ def test_descends_a_simple_quadratic():
         w = model.weights[0][0, 0]
         model, state = adam_step(model, scalar_grads(2 * (w - 3.0)), state, lr=0.01)
     assert model.weights[0][0, 0] == pytest.approx(3.0, abs=1e-2)
+
+
+def flat_model(flat: np.ndarray) -> ModelParams:
+    """One identity layer (1, n-1) whose buffer is exactly `flat`."""
+    n = flat.size
+    return ModelParams.from_flat(flat, [(1, n - 1)], ("identity",), (n - 1, 1), (1, 1))
+
+
+def random_step_inputs(n: int, step_count: int):
+    rng = np.random.default_rng(n)
+    model = flat_model(rng.normal(size=n))
+    state = AdamState(rng.normal(size=n), rng.random(n), step_count)
+    return model, rng.normal(size=n), state
+
+
+def expression_step(p, g, m, v, t, lr):
+    """The textbook Adam update, one whole-array expression per line."""
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    m = BETA1 * m + (1.0 - BETA1) * g
+    v = BETA2 * v + (1.0 - BETA2) * g * g
+    step = lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    return p - step, m, v
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("t", (1, 10_000))
+def test_blocked_step_matches_expression_bit_for_bit(n, t):
+    model, grads, state = random_step_inputs(n, t - 1)
+    new, after = adam_step(model, grads, state, lr=1e-3)
+    want = expression_step(model.flat, grads, state.first_moment, state.second_moment, t, 1e-3)
+    for got, ref in zip((new.flat, after.first_moment, after.second_moment), want):
+        assert got.tobytes() == ref.tobytes()
+    assert after.step_count == t
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_step_outputs_are_fresh_and_inputs_unchanged(n):
+    model, grads, state = random_step_inputs(n, 3)
+    inputs = (model.flat, grads, state.first_moment, state.second_moment)
+    before = [a.copy() for a in inputs]
+    new, after = adam_step(model, grads, state, lr=1e-3)
+    for out in (new.flat, after.first_moment, after.second_moment):
+        assert not any(np.shares_memory(out, a) for a in inputs)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_step_peak_memory_is_its_results_plus_one_block():
+    # Three fresh results, one block of scratch and the isfinite mask; the
+    # expression form holds about five parameter-sized arrays at its peak.
+    n = 4 * BLOCK + 7
+    model, grads, state = random_step_inputs(n, 0)
+    tracemalloc.start()
+    try:
+        result = adam_step(model, grads, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[1].step_count == 1
+    assert peak <= 3 * model.flat.nbytes + BLOCK * 8 + n + OBJECTS

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,32 @@ class TestLoadCsv:
         back = load_csv(path)
         assert np.array_equal(back.values, ds.values)
         assert back.feature_names == ds.feature_names
+
+    @pytest.mark.parametrize("existing", [None, b"date,x\n0,1.0\n"], ids=["new", "existing"])
+    def test_save_failing_mid_write_leaves_path_untouched(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "out.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        real_writer = csv.writer
+
+        class FailingWriter:
+            def __init__(self, fh, **kwargs):
+                self.inner, self.rows = real_writer(fh, **kwargs), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 5:
+                    raise OSError("No space left on device")
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="No space"):
+            save_csv(synth_series(20, 0.3, 1), path)
+        if existing is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_bytes() == existing
 
 
 class TestSplitAndStandardize:

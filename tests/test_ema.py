@@ -1,7 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wavebound import ConfigError, Rng, ema_init, ema_update, new_forecaster
+from wavebound import ConfigError, ModelParams, Rng, ema_init, ema_update, new_forecaster
+from wavebound.ema import EmaMirror
+from wavebound.nn import BLOCK
+
+BLOCK_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7)
+OBJECTS = 16 * 1024  # headroom for the Python objects and array headers a call makes
 
 
 def two_models(seed=0):
@@ -93,3 +100,46 @@ def test_shape_mismatch_rejected():
     mirror = ema_init(source, 0.5)
     with pytest.raises(ConfigError):
         ema_update(mirror, other)
+
+
+def flat_model(flat: np.ndarray) -> ModelParams:
+    """One identity layer (1, n-1) whose buffer is exactly `flat`."""
+    n = flat.size
+    return ModelParams.from_flat(flat, [(1, n - 1)], ("identity",), (n - 1, 1), (1, 1))
+
+
+def random_pair(n: int, decay: float = 0.99):
+    rng = np.random.default_rng(n)
+    return EmaMirror(flat_model(rng.normal(size=n)), decay), flat_model(rng.normal(size=n))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("decay", (0.99, 0.3))
+def test_blocked_blend_matches_expression_bit_for_bit(n, decay):
+    mirror, source = random_pair(n, decay)
+    want = decay * mirror.target.flat + (1.0 - decay) * source.flat
+    assert ema_update(mirror, source).target.flat.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_blend_output_is_fresh_and_inputs_unchanged(n):
+    mirror, source = random_pair(n)
+    inputs = (mirror.target.flat, source.flat)
+    before = [a.copy() for a in inputs]
+    blended = ema_update(mirror, source).target.flat
+    assert not any(np.shares_memory(blended, a) for a in inputs)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_blend_peak_memory_is_its_result_plus_one_block():
+    # The expression form holds two parameter-sized temporaries at its peak.
+    mirror, source = random_pair(4 * BLOCK + 7)
+    tracemalloc.start()
+    try:
+        updated = ema_update(mirror, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert updated.decay == mirror.decay
+    assert peak <= source.flat.nbytes + BLOCK * 8 + OBJECTS
