@@ -126,6 +126,11 @@ def _theorem_case(tmp: Path) -> dict:
     return _digest(tmp, ["report.json"])
 
 
+def _synth_case(tmp: Path) -> dict:
+    _cli("synth", "--length", 400, "--sigma", 0.5, "--seed", 7, "--out", tmp / "series.csv")
+    return _digest(tmp, ["series.csv"])
+
+
 def _every_file_case(command: str):
     """Every file a command leaves behind: the logs, config and reports too."""
     extra = {
@@ -158,6 +163,7 @@ CASES = {
     "sweep/learning_rate": _sweep_case,
     "eval/test": _eval_case,
     "theorem": _theorem_case,
+    "synth": _synth_case,
     **{f"every_file/{c}": _every_file_case(c) for c in ("train", "eval", "sweep", "theorem")},
 }
 
