@@ -15,18 +15,17 @@ Format (all integers little-endian):
 
 The byte count is fully determined by the header, so truncation and
 trailing garbage are both detected.  Round-trips are bit-exact.  A save
-writes a temporary file beside the target and renames it into place, so
-an interrupted save never leaves a half-written checkpoint.
+goes through `data.atomic_open`, so an interrupted save never leaves a
+half-written checkpoint.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import struct
 
 import numpy as np
 
+from .data import atomic_open
 from .ema import EmaMirror
 from .errors import ConfigError, DataError
 from .nn import ACTIVATIONS, ModelParams
@@ -48,14 +47,10 @@ def checkpoint_save(path, params: ModelParams, mirror: EmaMirror | None = None) 
         head.append(struct.pack("<Id", 1, mirror.decay))
         nets = [params, mirror.target]
     blob = b"".join(head) + b"".join(p.flat.astype("<f8", copy=False).tobytes() for p in nets)
-    tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(blob)
-        os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
         raise DataError(f"cannot write checkpoint {path}: {exc}") from None
 
 

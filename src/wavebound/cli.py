@@ -28,6 +28,7 @@ import numpy as np
 from .checkpoint import checkpoint_load, checkpoint_save
 from .data import (
     SplitSpec,
+    atomic_open,
     load_csv,
     save_csv,
     select_feature,
@@ -143,7 +144,7 @@ def _as_bool(cfg: dict[str, str], key: str) -> bool:
 
 
 def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
 
 
@@ -245,8 +246,6 @@ def _prepare_data(cfg: dict[str, str]):
 
 
 def cmd_synth(args) -> int:
-    if args.length < 1:
-        raise ConfigError("length must be >= 1")
     dataset = synth_series(args.length, args.sigma, args.seed)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
@@ -370,26 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_CODES = ((ConfigError, 2), (DataError, 3), (OSError, 3), (NumericError, 4), (WaveboundError, 1))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (WaveboundError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:  # an output path that cannot be created or written
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except WaveboundError as exc:  # pragma: no cover - base-class safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

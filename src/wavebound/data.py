@@ -9,7 +9,8 @@ and an (n, M, K) `future` array, copied out of a single
 future[i] = segment[i+L : i+L+M].  Splits are chronological, applied to the
 raw series before windowing, so windows never cross a split boundary.
 Standardization statistics come from the train segment alone and are shared
-by the validation and test segments.
+by the validation and test segments.  Every file the package writes goes
+through `atomic_open`, so no failed write leaves a partial file at its path.
 """
 
 from __future__ import annotations
@@ -192,24 +193,38 @@ def load_csv(path) -> SeriesDataset:
     return SeriesDataset(values, header[1:])
 
 
-def save_csv(dataset: SeriesDataset, path) -> None:
-    """Write a dataset in the load_csv format, with row indices as timestamps.
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open `<path>.tmp` for writing; it replaces path only if the block succeeds.
 
-    The rows go to `<path>.tmp`, which replaces path only once complete, so
-    an interrupted write never leaves a shorter series at path.
+    Mode "w" writes utf-8 text with bare newline ends, "wb" bytes; there is
+    no other mode.  On any exception the temporary file is removed and the
+    exception re-raised, so path keeps its earlier content.  A symlink at
+    path is replaced, not followed.
     """
     tmp = f"{os.fspath(path)}.tmp"
+    text = {} if mode == "wb" else {"encoding": "utf-8", "newline": "\n"}
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["date"] + list(dataset.feature_names))
-            for i, row in enumerate(dataset.values):
-                writer.writerow([i] + [repr(float(v)) for v in row])
+        with open(tmp, mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def save_csv(dataset: SeriesDataset, path) -> None:
+    """Write a dataset in the load_csv format, with row indices as timestamps.
+
+    Rows stream to the file one at a time; `atomic_open` keeps an
+    interrupted write from leaving a shorter series at path.
+    """
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["date"] + list(dataset.feature_names))
+        for i, row in enumerate(dataset.values):
+            writer.writerow([i] + [repr(float(v)) for v in row])
 
 
 def write_rows(path, header, rows) -> None:
@@ -222,7 +237,7 @@ def write_rows(path, header, rows) -> None:
         [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row]
         for row in rows
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.writelines(",".join(line) + "\n" for line in lines)
 
 

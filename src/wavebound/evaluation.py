@@ -34,6 +34,11 @@ def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> Metri
         raise ConfigError(
             f"expected (n, L, K) past and (n, M, K) future, got {past.shape} and {future.shape}"
         )
+    if future.shape[1:] != params.output_shape:
+        raise ConfigError(
+            f"future windows of shape {future.shape[1:]} do not match the model's "
+            f"output shape {params.output_shape}"
+        )
     if past.shape[0] < 1:
         raise DataError("empty window set")
     pred = mlp_forward_batch(params, past)

@@ -96,22 +96,15 @@ class RiskMatrix:
     """Batch-averaged squared error per (prediction step, feature)."""
 
     values: np.ndarray  # (M, K), entries >= 0
-    batch_count: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ConfigError(f"risk matrix must be 2-D, got shape {self.values.shape}")
-        if self.batch_count < 1:
-            raise ConfigError("batch_count must be >= 1")
 
     @property
     def mean(self) -> float:
         return float(self.values.mean())
-
-    @classmethod
-    def constant(cls, value: float, shape: tuple[int, int], batch_count: int = 1) -> "RiskMatrix":
-        return cls(np.full(shape, float(value)), batch_count)
 
 
 def per_element_risk(pred: np.ndarray, target: np.ndarray) -> RiskMatrix:
@@ -123,7 +116,7 @@ def per_element_risk(pred: np.ndarray, target: np.ndarray) -> RiskMatrix:
     if pred.ndim != 3 or pred.shape[0] < 1:
         raise ConfigError(f"expected (N, M, K) with N >= 1, got {pred.shape}")
     err = pred - target
-    return RiskMatrix((err * err).mean(axis=0), batch_count=pred.shape[0])
+    return RiskMatrix((err * err).mean(axis=0))
 
 
 def flood_elementwise(values: np.ndarray, bound) -> np.ndarray:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_open, batch_indices
 from .errors import ConfigError
 from .objectives import flood_elementwise, wave_elementwise
 from .rng import Rng
@@ -148,7 +149,7 @@ class OracleReport:
         return out
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path) as fh:
             fh.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     def table(self) -> str:
@@ -293,10 +294,7 @@ def jensen_audit(
     flood_b: float = 0.1,
 ) -> int:
     """Audit the batch-mean bounds for coefficient predictors on (x, y)."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    n = x.shape[0]
-    sizes = [min(batch_size, n - start) for start in range(0, n, batch_size)]
+    sizes = [len(b) for b in batch_indices(x.shape[0], batch_size)]
     return jensen_violations(
         predict(g, x), predict(g_star, x), y, sizes, epsilon, flood_b
     )

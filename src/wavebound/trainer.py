@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adam import adam_init, adam_step
-from .data import batch_indices, write_rows
+from .data import atomic_open, batch_indices, write_rows
 from .ema import EmaMirror, ema_init, ema_update
 from .errors import ConfigError, NumericError
 from .evaluation import evaluate
@@ -113,7 +113,7 @@ class TrainLog:
         ))
 
     def to_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path) as fh:
             for r in self.records:
                 rec = {
                     "epoch": r.epoch,
@@ -176,8 +176,14 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
     adam_state = adam_init(params)
     log = TrainLog(eval_network=config.eval_network)
 
+    frozen_risk = None
+    if config.frozen_target_risk is not None:
+        frozen_risk = RiskMatrix(np.full((config.output_len, n_features), config.frozen_target_risk))
+
+    # adam_step and ema_update return fresh buffers, so plain references
+    # to the best epoch's params and mirror stay valid snapshots.
     best_val = np.inf
-    best_params = params.copy()
+    best_params = params
     best_mirror = mirror
     best_epoch = 0
     epochs_since_best = 0
@@ -195,15 +201,10 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
             y = train_future[idx]
             pred = mlp_forward_batch(params, x)
             risk = per_element_risk(pred, y)
-            target_risk = None
-            if config.objective.needs_target:
-                if config.frozen_target_risk is not None:
-                    target_risk = RiskMatrix.constant(
-                        config.frozen_target_risk, risk.values.shape, risk.batch_count
-                    )
-                else:
-                    target_pred = mlp_forward_batch(mirror.target, x)
-                    target_risk = per_element_risk(target_pred, y)
+            target_risk = frozen_risk
+            if config.objective.needs_target and frozen_risk is None:
+                target_pred = mlp_forward_batch(mirror.target, x)
+                target_risk = per_element_risk(target_pred, y)
             value = objective_value(config.objective, risk, target_risk)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite objective {value!r} at iteration {iteration}")
@@ -239,8 +240,8 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
         )
         if val_metrics.mse < best_val:
             best_val = val_metrics.mse
-            best_params = eval_params.copy()
-            best_mirror = EmaMirror(target=mirror.target.copy(), decay=mirror.decay)
+            best_params = eval_params
+            best_mirror = mirror
             best_epoch = epoch
             epochs_since_best = 0
         else:

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from wavebound.cli import main
+from wavebound.errors import ConfigError, DataError, NumericError, WaveboundError
 
 SMALL = [
     "--set", "length=120",
@@ -246,6 +247,22 @@ class TestEval:
         assert trained == evaled
         assert (eval_dir / "per_step_mse.csv").exists()
 
+    @pytest.mark.parametrize("output_len", ["1", "4"])
+    def test_output_len_unlike_the_checkpoint_is_config_error(self, tmp_path, capsys, output_len):
+        run_dir = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "train", "--out", str(run_dir), *SMALL, "--set", "output_len=8")
+        assert code == 0
+        eval_dir = tmp_path / "eval"
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--checkpoint", str(run_dir / "model.ckpt"),
+            "--out", str(eval_dir), *SMALL, "--set", f"output_len={output_len}",
+        )
+        assert code == 2
+        assert stderr.startswith("error: ")
+        assert f"({output_len}, 1)" in stderr and "(8, 1)" in stderr
+        assert stdout == ""
+        assert os.listdir(eval_dir) == []
+
     def test_missing_checkpoint_is_data_error(self, tmp_path, capsys):
         code, _, _ = run_cli(
             capsys, "eval", "--checkpoint", str(tmp_path / "no.ckpt"),
@@ -344,6 +361,34 @@ class TestTheorem:
             "--set", "noise_std=-1.0", *self.ARGS,
         )
         assert code == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error,code", [
+        (ConfigError, 2), (DataError, 3), (OSError, 3), (NumericError, 4), (WaveboundError, 1),
+    ])
+    def test_each_error_kind_maps_to_its_code(self, tmp_path, capsys, monkeypatch, error, code):
+        def fail(args):
+            raise error("injected")
+
+        monkeypatch.setattr("wavebound.cli.cmd_synth", fail)
+        got, stdout, stderr = run_cli(capsys, "synth", "--length", "5", "--out", str(tmp_path / "x"))
+        assert (got, stdout, stderr) == (code, "", "error: injected\n")
+
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
+        def fail(args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr("wavebound.cli.cmd_synth", fail)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["synth", "--length", "5", "--out", str(tmp_path / "x")])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_training_is_numeric_error(self, tmp_path, capsys):
+        code, _, stderr = run_cli(capsys, "train", "--out", str(tmp_path / "run"), *SMALL,
+                                  "--set", "learning_rate=1e300")
+        assert code == 4
+        assert stderr.startswith("error: non-finite")
 
 
 class TestUnwritableOutput:

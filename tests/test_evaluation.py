@@ -85,6 +85,18 @@ class TestEvaluate:
         assert record.per_step_mse.mean() == pytest.approx(record.mse, rel=1e-12)
         assert record.per_element_mse.mean() == pytest.approx(record.mse, rel=1e-12)
 
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_future_of_another_horizon_rejected(self, steps):
+        params = new_forecaster(4, 3, 1, 8, Rng(2))
+        past = np.zeros((5, 4, 1))
+        with pytest.raises(ConfigError, match=rf"\({steps}, 1\).*\(3, 1\)"):
+            evaluate(params, past, np.zeros((5, steps, 1)))
+
+    def test_future_of_another_feature_count_rejected(self):
+        params = new_forecaster(4, 3, 1, 8, Rng(2))
+        with pytest.raises(ConfigError, match="output shape"):
+            evaluate(params, np.zeros((5, 4, 1)), np.zeros((5, 3, 2)))
+
     def test_empty_rejected(self):
         params = copy_model(2)
         with pytest.raises(DataError):

@@ -14,8 +14,8 @@ from wavebound import (
 )
 
 
-def risk(values, batch_count=1):
-    return RiskMatrix(np.asarray(values, dtype=float), batch_count)
+def risk(values):
+    return RiskMatrix(np.asarray(values, dtype=float))
 
 
 class TestPerElementRisk:
@@ -40,7 +40,6 @@ class TestPerElementRisk:
                     acc += (pred[i, j, k] - target[i, j, k]) ** 2
                 expected[j, k] = acc / 5
         assert np.allclose(got.values, expected, rtol=0, atol=1e-15)
-        assert got.batch_count == 5
 
     def test_mean_equals_overall_mse(self):
         rng = Rng(8)
@@ -158,7 +157,7 @@ class TestEquivalences:
         rng = Rng(4)
         for _ in range(50):
             src = risk(rng.uniform(0, 1, size=(3, 2)))
-            frozen = RiskMatrix.constant(b + eps, (3, 2))
+            frozen = RiskMatrix(np.full((3, 2), b + eps))
             assert objective_value(
                 ObjectiveKind.wave_indiv(eps), src, frozen
             ) == objective_value(ObjectiveKind.constant_flooding(b), src)
