@@ -2,12 +2,13 @@
 
 Configuration is a flat key=value text file (blank lines and '#' comments
 ignored); any key can be overridden on the command line with repeated
-`--set KEY=VALUE` flags, and flags win.  Every run writes the fully
-resolved configuration next to its outputs, and all output files are
-byte-identical across reruns with the same inputs (wall-clock timing goes
-to stderr only).  A run's files appear in --out together or not at all:
-they are written into a `.partial-*` directory inside it and renamed into
-place only when the whole run has succeeded.
+`--set KEY=VALUE` flags, and flags win.  Every key is parsed by its type
+before --out is touched, so a malformed value creates nothing.  Every run
+writes the fully resolved configuration next to its outputs, and all
+output files are byte-identical across reruns with the same inputs
+(wall-clock timing goes to stderr only).  A run's files appear in --out
+together or not at all: they are written into a `.partial-*` directory
+inside it and renamed into place only when the whole run has succeeded.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -44,46 +45,59 @@ from .objectives import ObjectiveKind
 from .theorem import LinearGaussianPopulation, OracleInstance, run_full_oracle
 from .trainer import SWEEP_PARAMS, TrainConfig, sweep, train
 
+
+def _boolean(text: str) -> bool:
+    value = text.lower()
+    if value in ("true", "1", "yes"):
+        return True
+    if value in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+# key -> (default text, parser); a parser's ValueError is reported with EXPECTED
 TRAIN_DEFAULTS = {
-    "data": "synth",  # synth | csv
-    "length": "2000",  # synth series length
-    "sigma": "0.5",  # synth noise level
-    "data_seed": "7",  # synth noise seed
-    "csv_path": "",
-    "feature": "",  # univariate column name; empty = last column
-    "univariate": "true",
-    "ratios": "6:2:2",
-    "standardize": "true",
-    "input_len": "96",
-    "output_len": "96",
-    "hidden_dim": "64",
-    "objective": "plain",
-    "b": "0.0",
-    "epsilon": "0.01",
-    "batch_size": "32",
-    "learning_rate": "0.0001",
-    "ema_decay": "0.99",
-    "max_epochs": "30",
-    "patience": "3",
-    "seed": "0",
-    "eval_network": "target",
+    "data": ("synth", str),  # synth | csv
+    "length": ("2000", int),  # synth series length
+    "sigma": ("0.5", float),  # synth noise level
+    "data_seed": ("7", int),  # synth noise seed
+    "csv_path": ("", str),
+    "feature": ("", str),  # univariate column name; empty = last column
+    "univariate": ("true", _boolean),
+    "ratios": ("6:2:2", SplitSpec.parse),
+    "standardize": ("true", _boolean),
+    "input_len": ("96", int),
+    "output_len": ("96", int),
+    "hidden_dim": ("64", int),
+    "objective": ("plain", str),
+    "b": ("0.0", float),
+    "epsilon": ("0.01", float),
+    "batch_size": ("32", int),
+    "learning_rate": ("0.0001", float),
+    "ema_decay": ("0.99", float),
+    "max_epochs": ("30", int),
+    "patience": ("3", int),
+    "seed": ("0", int),
+    "eval_network": ("target", str),
 }
 
 THEOREM_DEFAULTS = {
-    "rows": "3",
-    "cols": "2",
-    "true_coeff": "1.0",
-    "noise_std": "0.5",
-    "input_std": "1.0",
-    "g_offset": "0.5",  # evaluated predictor = truth + offset
-    "g_star_offset": "0.0",  # reference predictor = truth + offset
-    "epsilon": "0.01",
-    "n_samples": "25",
-    "trials": "20000",
-    "margin_alpha": "0.05",
-    "seed": "2024",
-    "jensen_draws": "10",
+    "rows": ("3", int),
+    "cols": ("2", int),
+    "true_coeff": ("1.0", float),
+    "noise_std": ("0.5", float),
+    "input_std": ("1.0", float),
+    "g_offset": ("0.5", float),  # evaluated predictor = truth + offset
+    "g_star_offset": ("0.0", float),  # reference predictor = truth + offset
+    "epsilon": ("0.01", float),
+    "n_samples": ("25", int),
+    "trials": ("20000", int),
+    "margin_alpha": ("0.05", float),
+    "seed": ("2024", int),
+    "jensen_draws": ("10", int),
 }
+
+EXPECTED = {int: "an integer", float: "a number", _boolean: "true/false"}
 
 SPLITS = ("train", "val", "test")
 METRICS_HEADER = ("split", "mse", "mae", "samples")
@@ -109,38 +123,23 @@ def _load_config_file(path) -> dict[str, str]:
     )
 
 
-def _resolve(defaults: dict[str, str], config_path, sets) -> dict[str, str]:
-    cfg = dict(defaults)
+def _resolve(defaults: dict, config_path, sets) -> tuple[dict[str, str], dict]:
+    """Resolved text of every key, as resolved_config.txt keeps it, and its parsed value."""
+    text = {key: default for key, (default, _) in defaults.items()}
     overrides = _load_config_file(config_path) if config_path else {}
     overrides.update(_split_pair(pair, "--set expects") for pair in sets or [])
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    cfg.update(overrides)
-    return cfg
-
-
-def _as_int(cfg: dict[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key} must be an integer, got {cfg[key]!r}") from None
-
-
-def _as_float(cfg: dict[str, str], key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key} must be a number, got {cfg[key]!r}") from None
-
-
-def _as_bool(cfg: dict[str, str], key: str) -> bool:
-    value = cfg[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"config key {key} must be true/false, got {cfg[key]!r}")
+    text.update(overrides)
+    values = {}
+    for key, (_, parse) in defaults.items():
+        try:
+            values[key] = parse(text[key])
+        except ValueError:
+            raise ConfigError(
+                f"config key {key} must be {EXPECTED[parse]}, got {text[key]!r}") from None
+    return text, values
 
 
 def _write_text(path, text: str) -> None:
@@ -149,97 +148,98 @@ def _write_text(path, text: str) -> None:
 
 
 @contextlib.contextmanager
-def _outputs(out_dir, cfg: dict[str, str]):
+def _outputs(out_dir, text: dict[str, str]):
     """Stage a run's files and move them into out_dir together on success.
 
     Yields `path(name)`, the staged location of output `name`.  The stage is
     made before any work, so a bad --out fails first, and is removed on
     every exit; nothing under an output's name changes unless the block
-    succeeds.
+    succeeds, and an out_dir this call made is removed again if the block
+    fails and it is still empty.
     """
     if not out_dir:
         raise ConfigError("--out is required")
+    made = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=".partial-", dir=out_dir)
     try:
-        _write_text(os.path.join(stage, "resolved_config.txt"),
-                    "".join(f"{key}={cfg[key]}\n" for key in sorted(cfg)))
-        yield lambda name: os.path.join(stage, name)
-        moves = [(os.path.join(stage, n), os.path.join(out_dir, n)) for n in sorted(os.listdir(stage))]
-        for _, target in moves:
-            if os.path.isdir(target):
-                raise DataError(f"cannot write {target}: it is a directory")
-        for staged, target in moves:
-            os.replace(staged, target)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        stage = tempfile.mkdtemp(prefix=".partial-", dir=out_dir)
+        try:
+            _write_text(os.path.join(stage, "resolved_config.txt"),
+                        "".join(f"{key}={text[key]}\n" for key in sorted(text)))
+            yield lambda name: os.path.join(stage, name)
+            moves = [(os.path.join(stage, n), os.path.join(out_dir, n)) for n in sorted(os.listdir(stage))]
+            for _, target in moves:
+                if os.path.isdir(target):
+                    raise DataError(f"cannot write {target}: it is a directory")
+            for staged, target in moves:
+                os.replace(staged, target)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
+        raise
 
 
-def _train_config(cfg: dict[str, str]) -> TrainConfig:
+def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
-        input_len=_as_int(cfg, "input_len"),
-        output_len=_as_int(cfg, "output_len"),
-        objective=ObjectiveKind(
-            cfg["objective"], b=_as_float(cfg, "b"), epsilon=_as_float(cfg, "epsilon")
-        ),
-        batch_size=_as_int(cfg, "batch_size"),
-        learning_rate=_as_float(cfg, "learning_rate"),
-        ema_decay=_as_float(cfg, "ema_decay"),
-        max_epochs=_as_int(cfg, "max_epochs"),
-        patience=_as_int(cfg, "patience"),
-        seed=_as_int(cfg, "seed"),
-        hidden_dim=_as_int(cfg, "hidden_dim"),
+        input_len=cfg["input_len"],
+        output_len=cfg["output_len"],
+        objective=ObjectiveKind(cfg["objective"], b=cfg["b"], epsilon=cfg["epsilon"]),
+        batch_size=cfg["batch_size"],
+        learning_rate=cfg["learning_rate"],
+        ema_decay=cfg["ema_decay"],
+        max_epochs=cfg["max_epochs"],
+        patience=cfg["patience"],
+        seed=cfg["seed"],
+        hidden_dim=cfg["hidden_dim"],
         eval_network=cfg["eval_network"],
     )
 
 
-def _oracle_instance(cfg: dict[str, str]) -> OracleInstance:
-    shape = (_as_int(cfg, "rows"), _as_int(cfg, "cols"))
+def _oracle_instance(cfg: dict) -> OracleInstance:
+    shape = (cfg["rows"], cfg["cols"])
     if min(shape) < 1:
         raise ConfigError(f"rows and cols must be >= 1, got {shape}")
     population = LinearGaussianPopulation(
-        true_map=np.full(shape, _as_float(cfg, "true_coeff")),
-        noise_std=np.full(shape, _as_float(cfg, "noise_std")),
-        input_std=_as_float(cfg, "input_std"),
+        true_map=np.full(shape, cfg["true_coeff"]),
+        noise_std=np.full(shape, cfg["noise_std"]),
+        input_std=cfg["input_std"],
     )
     return OracleInstance(
         population=population,
-        g=population.true_map + _as_float(cfg, "g_offset"),
-        g_star=population.true_map + _as_float(cfg, "g_star_offset"),
-        epsilon=_as_float(cfg, "epsilon"),
-        n_samples=_as_int(cfg, "n_samples"),
-        trials=_as_int(cfg, "trials"),
-        margin_alpha=_as_float(cfg, "margin_alpha"),
-        seed=_as_int(cfg, "seed"),
+        g=population.true_map + cfg["g_offset"],
+        g_star=population.true_map + cfg["g_star_offset"],
+        epsilon=cfg["epsilon"],
+        n_samples=cfg["n_samples"],
+        trials=cfg["trials"],
+        margin_alpha=cfg["margin_alpha"],
+        seed=cfg["seed"],
     )
 
 
-def _prepare_data(cfg: dict[str, str]):
+def _prepare_data(cfg: dict):
     """Config -> stacked (past, future) tuples for train/val/test."""
     source = cfg["data"]
     if source == "synth":
-        dataset = synth_series(
-            _as_int(cfg, "length"), _as_float(cfg, "sigma"), _as_int(cfg, "data_seed")
-        )
+        dataset = synth_series(cfg["length"], cfg["sigma"], cfg["data_seed"])
     elif source == "csv":
         if not cfg["csv_path"]:
             raise ConfigError("csv data needs csv_path")
         dataset = load_csv(cfg["csv_path"])
     else:
         raise ConfigError(f"data must be 'synth' or 'csv', got {source!r}")
-    if _as_bool(cfg, "univariate") and dataset.n_features > 1:
+    if cfg["univariate"] and dataset.n_features > 1:
         dataset = select_feature(dataset, cfg["feature"] or None)
-    spec = SplitSpec.parse(cfg["ratios"])
-    segments = split_and_standardize(dataset, spec, standardize=_as_bool(cfg, "standardize"))
-    input_len = _as_int(cfg, "input_len")
-    output_len = _as_int(cfg, "output_len")
+    segments = split_and_standardize(dataset, cfg["ratios"], standardize=cfg["standardize"])
     sets = []
     for segment in segments:
-        windows = windowize(segment, input_len, output_len)
+        windows = windowize(segment, cfg["input_len"], cfg["output_len"])
         if not windows:
             raise DataError(
                 f"segment of length {segment.length} yields no windows for "
-                f"{input_len}+{output_len}"
+                f"{cfg['input_len']}+{cfg['output_len']}"
             )
         sets.append(stack_windows(windows))
     return tuple(sets)
@@ -255,9 +255,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
-    with _outputs(args.out, cfg) as path:
-        config = _train_config(cfg)
+    text, cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
+    config = _train_config(cfg)
+    with _outputs(args.out, text) as path:
         sets = _prepare_data(cfg)
         started = time.perf_counter()
         result = train(config, *sets)
@@ -284,15 +284,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
-    with _outputs(args.out, cfg) as path:
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
-        if not values:
-            raise ConfigError("sweep needs a non-empty --values list")
-        config = _train_config(cfg)
+    text, cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
+    if not values:
+        raise ConfigError("sweep needs a non-empty --values list")
+    config = _train_config(cfg)
+    with _outputs(args.out, text) as path:
         started = time.perf_counter()
         rows = sweep(config, args.param, values, *_prepare_data(cfg), workers=args.workers)
         elapsed = time.perf_counter() - started
@@ -308,8 +308,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
-    with _outputs(args.out, cfg) as path:
+    text, cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
+    with _outputs(args.out, text) as path:
         params, _mirror = checkpoint_load(args.checkpoint)
         sets = dict(zip(SPLITS, _prepare_data(cfg)))
         m = evaluate(params, *sets[args.split])
@@ -320,11 +320,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    cfg = _resolve(THEOREM_DEFAULTS, args.config, args.set)
-    with _outputs(args.out, cfg) as path:
-        instance = _oracle_instance(cfg)
+    text, cfg = _resolve(THEOREM_DEFAULTS, args.config, args.set)
+    instance = _oracle_instance(cfg)
+    with _outputs(args.out, text) as path:
         started = time.perf_counter()
-        report = run_full_oracle(instance, jensen_draws=_as_int(cfg, "jensen_draws"))
+        report = run_full_oracle(instance, jensen_draws=cfg["jensen_draws"])
         elapsed = time.perf_counter() - started
         report.to_json(path("report.json"))
         _write_text(path("report.txt"), report.table() + "\n")

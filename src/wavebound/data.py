@@ -149,7 +149,7 @@ def load_csv(path) -> SeriesDataset:
     (nan, inf) are hard errors that name the file row and column.
     """
     rows = []
-    blank_lines = []
+    linenos = []  # file line of each parsed row; blank lines are skipped
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -165,7 +165,6 @@ def load_csv(path) -> SeriesDataset:
         width = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
-                blank_lines.append(lineno)
                 continue
             if len(row) != width:
                 raise DataError(f"{path}: row {lineno}: expected {width} columns, got {len(row)}")
@@ -178,34 +177,34 @@ def load_csv(path) -> SeriesDataset:
                         f"{path}: row {lineno}, column {col}: cannot parse {cell!r} as a number"
                     ) from None
             rows.append(parsed)
+            linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: empty dataset")
     values = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
         index, col = np.argwhere(~finite)[0]
-        lineno = index + 2
-        for blank in blank_lines:  # ascending, so each shifts the later rows
-            if blank <= lineno:
-                lineno += 1
         bad = float(values[index, col])
-        raise DataError(f"{path}: row {lineno}, column {col + 2}: non-finite value {bad!r}")
+        raise DataError(f"{path}: row {linenos[index]}, column {col + 2}: non-finite value {bad!r}")
     return SeriesDataset(values, header[1:])
 
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w"):
-    """Open `<path>.tmp` for writing; it replaces path only if the block succeeds.
+    """Open `<path>.<pid>.tmp` for writing; it replaces path only if the block succeeds.
 
     Mode "w" writes utf-8 text with bare newline ends, "wb" bytes; there is
-    no other mode.  On any exception the temporary file is removed and the
-    exception re-raised, so path keeps its earlier content.  A symlink at
-    path is replaced, not followed.
+    no other mode.  The temporary file is created exclusively, so a file of
+    that name which this call did not make is never truncated: the open
+    fails instead.  On any exception after the open the temporary file is
+    removed and the exception re-raised, so path keeps its earlier content.
+    A symlink at path is replaced, not followed.
     """
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     text = {} if mode == "wb" else {"encoding": "utf-8", "newline": "\n"}
+    fh = open(tmp, mode.replace("w", "x"), **text)
     try:
-        with open(tmp, mode, **text) as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -215,30 +214,25 @@ def atomic_open(path, mode: str = "w"):
 
 
 def save_csv(dataset: SeriesDataset, path) -> None:
-    """Write a dataset in the load_csv format, with row indices as timestamps.
-
-    Rows stream to the file one at a time; `atomic_open` keeps an
-    interrupted write from leaving a shorter series at path.
-    """
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + list(dataset.feature_names))
-        for i, row in enumerate(dataset.values):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    """Write a dataset in the load_csv format, with row indices as timestamps."""
+    write_rows(path, ["date", *dataset.feature_names],
+               ([i, *row] for i, row in enumerate(dataset.values)))
 
 
 def write_rows(path, header, rows) -> None:
-    """Write a header and comma-joined rows as utf-8 lines with bare newline ends.
+    """Write a header and rows as CSV: utf-8, bare newline ends, one row at a time.
 
     Floats are written as repr(float(v)), so they round-trip exactly; every
-    other field as str(v).
+    other field as str(v).  A field holding the delimiter or a quote is
+    quoted, as csv.writer does.  `atomic_open` keeps an interrupted write
+    from leaving a shorter file at path.
     """
-    lines = [header] + [
-        [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row]
-        for row in rows
-    ]
     with atomic_open(path) as fh:
-        fh.writelines(",".join(line) + "\n" for line in lines)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row])
 
 
 def select_feature(dataset: SeriesDataset, name: str | None = None) -> SeriesDataset:

@@ -32,10 +32,6 @@ from .nn import ModelParams, mlp_backward_batch, mlp_forward_batch, new_forecast
 from .objectives import ObjectiveKind, RiskMatrix, objective_mask, objective_value, per_element_risk
 from .rng import Rng
 
-LEARNING_RATE_GRID = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3)
-FLOOD_LEVEL_GRID = tuple(round(0.02 * i, 2) for i in range(21))  # 0.00 .. 0.40
-EPSILON_GRID = (0.01, 0.001)
-
 EVAL_NETWORKS = ("source", "target")
 
 
@@ -99,7 +95,6 @@ class TrainLog:
     """
 
     records: list[EpochRecord] = field(default_factory=list)
-    eval_network: str = "target"
 
     def to_csv(self, path) -> None:
         if not self.records:
@@ -174,7 +169,7 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
         params = init_params.copy()
     mirror = ema_init(params, config.ema_decay)
     adam_state = adam_init(params)
-    log = TrainLog(eval_network=config.eval_network)
+    log = TrainLog()
 
     frozen_risk = None
     if config.frozen_target_risk is not None:
@@ -187,7 +182,6 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
     best_mirror = mirror
     best_epoch = 0
     epochs_since_best = 0
-    iteration = 0
 
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
@@ -207,7 +201,7 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
                 target_risk = per_element_risk(target_pred, y)
             value = objective_value(config.objective, risk, target_risk)
             if not np.isfinite(value):
-                raise NumericError(f"non-finite objective {value!r} at iteration {iteration}")
+                raise NumericError(f"non-finite objective {value!r} at iteration {adam_state.step_count}")
             mask = objective_mask(config.objective, risk, target_risk)
             n = pred.shape[0]
             upstream = mask[None, :, :] * (
@@ -217,11 +211,10 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
             try:
                 params, adam_state = adam_step(params, grads, adam_state, config.learning_rate)
             except NumericError as exc:
-                raise NumericError(f"{exc} (iteration {iteration})") from None
+                raise NumericError(f"{exc} (iteration {adam_state.step_count})") from None
             mirror = ema_update(mirror, params)
             objective_sum += value * n
             sample_sum += n
-            iteration += 1
 
         eval_params = params if config.eval_network == "source" else mirror.target
         train_metrics = evaluate(eval_params, train_past, train_future)

@@ -1,11 +1,12 @@
 """Every file the package writes goes through `data.atomic_open`.
 
 A write that fails part way leaves the earlier file at its path and no
-`<path>.tmp` beside it.
+`<path>.<pid>.tmp` beside it.
 """
 
 import ast
 import builtins
+import os
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,26 @@ class TestAtomicOpen:
                 raise KeyError("boom")
         assert path.read_bytes() == EARLIER
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_a_file_at_the_temporary_name_is_left_alone(self, tmp_path):
+        path = tmp_path / "out.txt"
+        taken = tmp_path / f"out.txt.{os.getpid()}.tmp"
+        taken.write_bytes(EARLIER)
+        with pytest.raises(FileExistsError):
+            with atomic_open(path) as fh:
+                fh.write("new\n")
+        assert taken.read_bytes() == EARLIER
+        assert not path.exists()
+
+    def test_permissions_follow_the_umask(self, tmp_path):
+        path = tmp_path / "out.txt"
+        umask = os.umask(0o027)
+        try:
+            with atomic_open(path) as fh:
+                fh.write("new\n")
+        finally:
+            os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o640
 
     def test_symlink_is_replaced_not_followed(self, tmp_path):
         real = tmp_path / "real.txt"

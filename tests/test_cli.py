@@ -50,6 +50,14 @@ class TestSynth:
         assert code == 2
         assert "length" in stderr
 
+    def test_foreign_tmp_file_survives(self, tmp_path, capsys):
+        out, notes = tmp_path / "x.csv", tmp_path / "x.csv.tmp"
+        notes.write_bytes(b"my notes\n")
+        code, _, _ = run_cli(capsys, "synth", "--length", "10", "--out", str(out))
+        assert code == 0
+        assert notes.read_bytes() == b"my notes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.csv.tmp"]
+
 
 class TestTrain:
     def test_writes_all_outputs(self, tmp_path, capsys):
@@ -163,6 +171,7 @@ class TestTrain:
             "--set", "data=csv", "--set", f"csv_path={tmp_path / 'no.csv'}", *SMALL,
         )
         assert code == 3
+        assert not (tmp_path / "x").exists()
 
     def test_non_finite_csv_cell_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
@@ -261,7 +270,7 @@ class TestEval:
         assert stderr.startswith("error: ")
         assert f"({output_len}, 1)" in stderr and "(8, 1)" in stderr
         assert stdout == ""
-        assert os.listdir(eval_dir) == []
+        assert not eval_dir.exists()
 
     def test_missing_checkpoint_is_data_error(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -269,6 +278,7 @@ class TestEval:
             "--out", str(tmp_path / "x"), *SMALL,
         )
         assert code == 3
+        assert not (tmp_path / "x").exists()
 
 
 class TestSweep:
@@ -303,6 +313,7 @@ class TestSweep:
             "--out", str(tmp_path / "x"), *SMALL,
         )
         assert code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_b_sweep_requires_flooding(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -361,6 +372,34 @@ class TestTheorem:
             "--set", "noise_std=-1.0", *self.ARGS,
         )
         assert code == 2
+
+
+class TestMalformedConfig:
+    """Every key is parsed before --out is touched, even one the command ignores."""
+
+    @pytest.mark.parametrize(
+        "command,setting,message",
+        [
+            ("train", "batch_size=x", "config key batch_size must be an integer, got 'x'"),
+            ("train", "learning_rate=fast", "config key learning_rate must be a number, got 'fast'"),
+            ("train", "univariate=maybe", "config key univariate must be true/false, got 'maybe'"),
+            ("train", "ratios=1:x:1", "cannot parse split ratios '1:x:1'"),
+            ("sweep", "standardize=2", "config key standardize must be true/false, got '2'"),
+            ("eval", "learning_rate=x", "config key learning_rate must be a number, got 'x'"),
+            ("theorem", "trials=many", "config key trials must be an integer, got 'many'"),
+        ],
+    )
+    def test_exits_2_and_leaves_no_out(self, tmp_path, capsys, command, setting, message):
+        extra = {
+            "sweep": ["--param", "learning_rate", "--values", "0.001"],
+            "eval": ["--checkpoint", str(tmp_path / "no.ckpt")],
+        }.get(command, [])
+        out = tmp_path / "fresh"
+        code, stdout, stderr = run_cli(
+            capsys, command, "--out", str(out), *extra, "--set", setting,
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestExitCodes:

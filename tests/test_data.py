@@ -18,6 +18,7 @@ from wavebound import (
     synth_series,
     windowize,
 )
+from wavebound.data import write_rows
 
 
 class TestSynthSeries:
@@ -119,6 +120,13 @@ class TestLoadCsv:
         else:
             assert list(tmp_path.iterdir()) == [path]
             assert path.read_bytes() == existing
+
+
+def test_write_rows_quotes_fields_holding_a_comma_or_quote(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_rows(path, ("name", "value"),
+               [("a,b", 1.5), ('say "hi"', np.float64(-0.0)), ("plain", 3)])
+    assert path.read_bytes() == b'name,value\n"a,b",1.5\n"say ""hi""",-0.0\nplain,3\n'
 
 
 class TestSplitAndStandardize:

@@ -1,6 +1,8 @@
 """Hypothesis property tests for the algebraic invariants of the fold."""
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from wavebound import (
     SeriesDataset,
     SplitSpec,
     flood_elementwise,
+    load_csv,
+    save_csv,
     windowize,
 )
 
@@ -65,3 +69,30 @@ def test_window_count_formula(total, input_len, output_len):
         warnings.simplefilter("ignore")
         windows = windowize(segment, input_len, output_len)
     assert len(windows) == max(0, total - input_len - output_len + 1)
+
+
+# any text without line breaks (or NUL and surrogates, which a utf-8 file
+# cannot round-trip), with the CSV delimiter and quote made common
+feature_name = st.text(
+    st.sampled_from(',"') | st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters="\r\n\x00"),
+    max_size=6,
+)
+cell = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(feature_name, min_size=k, max_size=k),
+    st.lists(st.lists(cell, min_size=k, max_size=k), min_size=1, max_size=5),
+)))
+def test_save_load_csv_round_trips_bit_for_bit(case):
+    names, rows = case
+    dataset = SeriesDataset(np.array(rows), names)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        save_csv(dataset, path)
+        back = load_csv(path)
+    assert back.feature_names == names
+    assert back.values.tobytes() == dataset.values.tobytes()

@@ -297,11 +297,3 @@ class TestSweep:
         cfg = make_config(ObjectiveKind.wave_indiv(0.01), max_epochs=1)
         rows = sweep(cfg, "epsilon", [0.01, 0.001], *SETS)
         assert len(rows) == 2
-
-
-class TestGrids:
-    def test_published_grids(self):
-        assert trainer_module.LEARNING_RATE_GRID == (1e-5, 3e-5, 1e-4, 3e-4, 1e-3)
-        assert trainer_module.EPSILON_GRID == (0.01, 0.001)
-        grid = trainer_module.FLOOD_LEVEL_GRID
-        assert grid[0] == 0.0 and grid[-1] == 0.4 and len(grid) == 21
