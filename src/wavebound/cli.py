@@ -148,20 +148,36 @@ def _write_text(path, text: str) -> None:
 
 
 @contextlib.contextmanager
+def _directory(path):
+    """Make directory path and its missing parents; if the block fails, remove those still empty."""
+    made = []  # deepest first
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    try:
+        os.makedirs(path, exist_ok=True)
+        yield
+    except BaseException:
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
+
+
+@contextlib.contextmanager
 def _outputs(out_dir, text: dict[str, str]):
     """Stage a run's files and move them into out_dir together on success.
 
     Yields `path(name)`, the staged location of output `name`.  The stage is
     made before any work, so a bad --out fails first, and is removed on
     every exit; nothing under an output's name changes unless the block
-    succeeds, and an out_dir this call made is removed again if the block
-    fails and it is still empty.
+    succeeds, and the directories this call made for out_dir are removed
+    again if the block fails and they are still empty.
     """
     if not out_dir:
         raise ConfigError("--out is required")
-    made = not os.path.exists(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    try:
+    with _directory(out_dir):
         stage = tempfile.mkdtemp(prefix=".partial-", dir=out_dir)
         try:
             _write_text(os.path.join(stage, "resolved_config.txt"),
@@ -175,11 +191,6 @@ def _outputs(out_dir, text: dict[str, str]):
                 os.replace(staged, target)
         finally:
             shutil.rmtree(stage, ignore_errors=True)
-    except BaseException:
-        if made:
-            with contextlib.suppress(OSError):
-                os.rmdir(out_dir)
-        raise
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -247,9 +258,11 @@ def _prepare_data(cfg: dict):
 
 def cmd_synth(args) -> int:
     dataset = synth_series(args.length, args.sigma, args.seed)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    save_csv(dataset, args.out)
+    try:
+        with _directory(os.path.dirname(os.path.abspath(args.out))):
+            save_csv(dataset, args.out)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     print(f"rows={dataset.length} features={dataset.n_features}")
     return 0
 

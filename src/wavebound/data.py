@@ -141,13 +141,76 @@ def synth_series(length: int, sigma: float, seed: int) -> SeriesDataset:
     return SeriesDataset((clean + noise)[:, None], ["signal"])
 
 
+# Where numpy's reader and csv.reader + float() can part: the csv quote, and
+# the separators \x1c-\x1f, which numpy strips from a number as whitespace
+# and float() does not.
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+
+
 def load_csv(path) -> SeriesDataset:
     """Read a series CSV: header row, timestamp first column, numeric rest.
 
     The timestamp column is ignored for modeling.  Rows are kept in file
     order.  Ragged rows, unparseable numeric cells and non-finite values
-    (nan, inf) are hard errors that name the file row and column.
+    (nan, inf) are hard errors that name the file row and column; bytes
+    that are not utf-8 are a hard error that names the file row.
+
+    csv.reader reads the header, which must sit on one physical line, and
+    numpy's C reader (`np.loadtxt`) reads the body in one call.  That result
+    is kept when the body holds none of `_CSV_ONLY`, every row has the
+    header's width, there is at least one row and every value is finite.
+    Otherwise `_load_csv_rows`, a csv.reader loop that calls float() on each
+    cell, reads the file again: it reports the error, or accepts what
+    float() takes and numpy does not (`1_0`, Unicode digits, quoted cells).
+    Both give the same values bit for bit.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader([fh.readline()], strict=True), [])
+            body = _plain_body(fh)
+    except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        body = None
+    if (body is not None and body.shape[0] and body.shape[1] == len(header) > 1
+            and np.isfinite(body).all()):
+        return SeriesDataset(np.ascontiguousarray(body[:, 1:]), header[1:])
+    try:
+        return _load_csv_rows(path)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _plain_body(fh) -> np.ndarray | None:
+    """The rest of fh parsed by np.loadtxt, or None if it holds any of `_CSV_ONLY`.
+
+    Column 0, the timestamp, is never parsed.  No `usecols` is passed, so
+    numpy rejects a row whose width differs from the first row's.
+    """
+    start = fh.tell()
+    for chunk in iter(lambda: fh.read(1 << 20), ""):  # 1 MiB at a time keeps the peak low
+        if any(char in chunk for char in _CSV_ONLY):
+            return None
+    fh.seek(start)
+    with warnings.catch_warnings():  # an empty body is the loop's to report
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                          converters={0: lambda cell: 0.0})
+
+
+def _not_utf8(path) -> DataError:
+    """The error for a file that is not utf-8, naming the row of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]  # rows end at \n, \r\n or a lone \r, as csv.reader reads them
+        row = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return DataError(f"{path}: row {row}: cannot decode {raw[exc.start:exc.end]!r} as utf-8")
+    return DataError(f"{path}: not utf-8")
+
+
+def _load_csv_rows(path) -> SeriesDataset:
+    """`load_csv` by csv.reader and float(), one cell at a time: its reference and fallback."""
     rows = []
     linenos = []  # file line of each parsed row; blank lines are skipped
     try:

@@ -185,6 +185,18 @@ class TestTrain:
         assert code == 3
         assert "row 52, column 2: non-finite value nan" in stderr
 
+    def test_csv_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"date,x\n0,1.0\n1,\xff\n")
+        out = tmp_path / "x"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--out", str(out),
+            "--set", "data=csv", "--set", f"csv_path={path}", *SMALL,
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr == f"error: {path}: row 3: cannot decode b'\\xff' as utf-8\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "objective,key,value,message",
         [
@@ -432,6 +444,22 @@ class TestExitCodes:
 
 class TestUnwritableOutput:
     """An output path that cannot be created or written exits 3, not a traceback."""
+
+    def test_synth_failing_write_names_out_and_removes_the_directories_it_made(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run_cli(capsys, "synth", "--length", "10", "--out", "newdir/sub/")
+        assert (code, stdout) == (3, "")
+        assert stderr == "error: cannot write newdir/sub/: No such file or directory\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_train_failing_run_removes_the_nested_out_it_made(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_text("date,x\n0,1.0\n", encoding="utf-8")
+        code, _, _ = run_cli(capsys, "train", "--out", str(tmp_path / "a" / "b" / "run"), *SMALL,
+                             "--set", "data=csv", "--set", f"csv_path={tmp_path / 'bad.csv'}")
+        assert code == 3
+        assert os.listdir(tmp_path) == ["bad.csv"]
 
     def test_train_out_under_a_regular_file(self, tmp_path, capsys):
         (tmp_path / "f").write_text("")

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wavebound import (
     synth_series,
     windowize,
 )
+from wavebound import data
 from wavebound.data import write_rows
 
 
@@ -61,8 +63,53 @@ class TestLoadCsv:
 
     def test_header_only_is_empty(self, tmp_path):
         path = self.write(tmp_path, "date,a\n")
-        with pytest.raises(DataError, match="empty dataset"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" stays inside
+            with pytest.raises(DataError) as raised:
+                load_csv(path)
+        assert str(raised.value) == f"{path}: empty dataset"
+
+    def test_plain_file_is_read_by_numpy_alone(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, "date,a,b\r\n2020-01-01,1.0,-0.0\r\n\r\nx, 3.5 ,5e-324\r\n")
+
+        def no_loop(path):
+            raise AssertionError("the csv.reader loop ran")
+
+        monkeypatch.setattr(data, "_load_csv_rows", no_loop)
+        ds = load_csv(path)
+        assert ds.feature_names == ["a", "b"]
+        assert ds.values.tobytes() == np.array([[1.0, -0.0], [3.5, 5e-324]]).tobytes()
+        assert ds.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("text,values", [
+        ('date,a\n"2020-01-01, 00:00",1.5\n', [[1.5]]),  # quoted timestamp holding a comma
+        ('date,a\nx,"2.5"\n', [[2.5]]),
+        ("date,a\nx,1_0\ny,\u0661\u0662\n", [[10.0], [12.0]]),
+        ('date,a\n"x,1\n2",3\n', [[3.0]]),  # one quoted timestamp over two lines
+    ], ids=["quoted-date", "quoted-cell", "float-only-syntax", "quoted-line-break"])
+    def test_what_only_float_reads_falls_back_to_the_loop(self, tmp_path, text, values):
+        ds = load_csv(self.write(tmp_path, text))
+        assert ds.values.tolist() == values
+
+    @pytest.mark.parametrize("text,message", [
+        ("date,a\nx,1.5\x1c\n", "row 2, column 2: cannot parse '1.5\\x1c' as a number"),
+        ("date,a\nx,\x1f2\n", "row 2, column 2: cannot parse '\\x1f2' as a number"),
+        ("date,a,b\nx,1\ny,2\n", "row 2: expected 3 columns, got 2"),  # every row short
+        ('date,"a\nx,1\n', "empty dataset"),  # the header's quote is never closed
+    ], ids=["separator-after", "separator-before", "all-rows-short", "open-header-quote"])
+    def test_what_numpy_alone_would_accept_is_still_an_error(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(DataError) as raised:
             load_csv(path)
+        assert str(raised.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_bytes_that_are_not_utf8_name_the_row(self, tmp_path, ending):
+        path = tmp_path / "series.csv"
+        path.write_bytes(ending.join([b"date,a", b"x,1.0", b"", b"y,2\xff.0", b"z,3.0", b""]))
+        with pytest.raises(DataError) as raised:
+            load_csv(path)
+        assert str(raised.value) == f"{path}: row 4: cannot decode b'\\xff' as utf-8"
 
     def test_unparseable_cell_names_row_and_column(self, tmp_path):
         path = self.write(tmp_path, "date,a,b\nx,1.0,2.0\ny,oops,4.0\n")

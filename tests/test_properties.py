@@ -1,14 +1,18 @@
-"""Hypothesis property tests for the algebraic invariants of the fold."""
+"""Hypothesis property tests: the algebraic invariants of the fold, and the CSV reader."""
 
+import csv
+import io
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavebound import (
+    DataError,
     SeriesDataset,
     SplitSpec,
     flood_elementwise,
@@ -16,6 +20,7 @@ from wavebound import (
     save_csv,
     windowize,
 )
+from wavebound import data
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -94,5 +99,59 @@ def test_save_load_csv_round_trips_bit_for_bit(case):
         path = Path(tmp) / "series.csv"
         save_csv(dataset, path)
         back = load_csv(path)
-    assert back.feature_names == names
-    assert back.values.tobytes() == dataset.values.tobytes()
+        # what save_csv writes is read by numpy alone, never by the loop
+        with mock.patch.object(data, "_load_csv_rows", side_effect=AssertionError("loop ran")):
+            fast = load_csv(path)
+    for got in (back, fast):
+        assert got.feature_names == names
+        assert got.values.tobytes() == dataset.values.tobytes()
+
+
+# Cells and lines on which numpy's reader and the csv.reader + float() loop
+# could part: float-only syntax, quoting, blanks, ragged rows, line ends.
+odd_cell = st.sampled_from([
+    "-0.0", "5e-324", "1.7976931348623157e308", " 1.5", "1.5 ", "1_0", '"1.5"', "nan", "-inf",
+    "", "\u0661\u0662", "0x10", "1e999", "\x1c1.5", "+.5",
+])
+number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+body_cell = st.one_of(number, number, number, odd_cell)
+stamp = st.sampled_from(
+    ["2020-01-01 00:00"] * 2 + ['"2020-01-01, 00:00"', '"x,1\n2"', "7", ""])
+ending = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def messy_csv(draw):
+    width = draw(st.integers(1, 3))  # numeric columns
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(ending)).writerow(
+        ["date", *draw(st.lists(feature_name, min_size=width, max_size=width))])
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["ragged", "blank", "whitespace"]))
+        if kind == "blank":
+            line = ""
+        elif kind == "whitespace":
+            line = draw(st.sampled_from([" ", "\t"]))
+        else:
+            n = width if kind == "row" else draw(st.sampled_from([width - 1, width + 1]))
+            line = ",".join([draw(stamp), *draw(st.lists(body_cell, min_size=n, max_size=n))])
+        out.write(line + draw(ending))
+    return draw(st.sampled_from(["", "\ufeff"])) + out.getvalue()
+
+
+def read_outcome(read, path):
+    try:
+        got = read(path)
+    except DataError as exc:
+        return str(exc)
+    return got.feature_names, got.values.shape, got.values.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(messy_csv())
+def test_load_csv_matches_the_reference_loop(text):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(load_csv, path) == read_outcome(data._load_csv_rows, path)
