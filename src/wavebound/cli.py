@@ -55,12 +55,19 @@ def _boolean(text: str) -> bool:
     raise ValueError(text)
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 # key -> (default text, parser); a parser's ValueError is reported with EXPECTED
 TRAIN_DEFAULTS = {
     "data": ("synth", str),  # synth | csv
     "length": ("2000", int),  # synth series length
     "sigma": ("0.5", float),  # synth noise level
-    "data_seed": ("7", int),  # synth noise seed
+    "data_seed": ("7", _seed),  # synth noise seed
     "csv_path": ("", str),
     "feature": ("", str),  # univariate column name; empty = last column
     "univariate": ("true", _boolean),
@@ -77,7 +84,7 @@ TRAIN_DEFAULTS = {
     "ema_decay": ("0.99", float),
     "max_epochs": ("30", int),
     "patience": ("3", int),
-    "seed": ("0", int),
+    "seed": ("0", _seed),
     "eval_network": ("target", str),
 }
 
@@ -93,11 +100,13 @@ THEOREM_DEFAULTS = {
     "n_samples": ("25", int),
     "trials": ("20000", int),
     "margin_alpha": ("0.05", float),
-    "seed": ("2024", int),
+    "seed": ("2024", _seed),
     "jensen_draws": ("10", int),
 }
 
-EXPECTED = {int: "an integer", float: "a number", _boolean: "true/false"}
+EXPECTED = {
+    int: "an integer", _seed: "a non-negative integer", float: "a number", _boolean: "true/false",
+}
 
 SPLITS = ("train", "val", "test")
 METRICS_HEADER = ("split", "mse", "mae", "samples")
@@ -257,6 +266,8 @@ def _prepare_data(cfg: dict):
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got '{args.seed}'")
     dataset = synth_series(args.length, args.sigma, args.seed)
     try:
         with _directory(os.path.dirname(os.path.abspath(args.out))):

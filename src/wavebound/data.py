@@ -209,6 +209,15 @@ def _not_utf8(path) -> DataError:
     return DataError(f"{path}: not utf-8")
 
 
+def _csv_records(fh, path):
+    """csv.reader over fh, its csv.Error raised as a DataError that names the row."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
+
+
 def _load_csv_rows(path) -> SeriesDataset:
     """`load_csv` by csv.reader and float(), one cell at a time: its reference and fallback."""
     rows = []
@@ -218,7 +227,7 @@ def _load_csv_rows(path) -> SeriesDataset:
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
             header = next(reader)
         except StopIteration:

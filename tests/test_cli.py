@@ -50,6 +50,15 @@ class TestSynth:
         assert code == 2
         assert "length" in stderr
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run_cli(
+            capsys, "synth", "--length", "10", "--seed", "-1", "--out", str(out)
+        )
+        assert (code, stdout, stderr) == (
+            2, "", "error: --seed must be a non-negative integer, got '-1'\n")
+        assert os.listdir(tmp_path) == []
+
     def test_foreign_tmp_file_survives(self, tmp_path, capsys):
         out, notes = tmp_path / "x.csv", tmp_path / "x.csv.tmp"
         notes.write_bytes(b"my notes\n")
@@ -195,6 +204,22 @@ class TestTrain:
         )
         assert (code, stdout) == (3, "")
         assert stderr == f"error: {path}: row 3: cannot decode b'\\xff' as utf-8\n"
+        assert not out.exists()
+
+    def test_csv_cell_over_the_field_limit_is_data_error(self, tmp_path, capsys):
+        # The quote sends the file to the csv.reader loop, whose field limit
+        # is 131 072 characters.
+        path = tmp_path / "long.csv"
+        rows = [f"{i},{math.sin(i / 5.0)!r}" for i in range(120)]
+        rows[4] = '4,"' + "1" * 200_000 + '"'
+        path.write_text("date,x\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "x"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--out", str(out),
+            "--set", "data=csv", "--set", f"csv_path={path}", *SMALL,
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr == f"error: {path}: row 6: field larger than field limit (131072)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -399,6 +424,11 @@ class TestMalformedConfig:
             ("sweep", "standardize=2", "config key standardize must be true/false, got '2'"),
             ("eval", "learning_rate=x", "config key learning_rate must be a number, got 'x'"),
             ("theorem", "trials=many", "config key trials must be an integer, got 'many'"),
+            ("theorem", "seed=-1", "config key seed must be a non-negative integer, got '-1'"),
+            ("train", "seed=-1", "config key seed must be a non-negative integer, got '-1'"),
+            ("train", "data_seed=-1",
+             "config key data_seed must be a non-negative integer, got '-1'"),
+            ("sweep", "seed=x", "config key seed must be a non-negative integer, got 'x'"),
         ],
     )
     def test_exits_2_and_leaves_no_out(self, tmp_path, capsys, command, setting, message):

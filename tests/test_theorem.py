@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,9 @@ from wavebound import (
     run_full_oracle,
     sample,
     true_risk,
+    wave_elementwise,
 )
+from wavebound.theorem import OracleReport
 
 
 def make_population(m=2, k=2, coeff=1.0, noise=0.5):
@@ -143,10 +148,143 @@ class TestEstimatorExperiment:
             {"epsilon": -0.1},
             {"n_samples": 0},
             {"trials": 0},
+            {"trials": 2**32 + 1},  # trial indices must fit one uint32 word
             {"margin_alpha": 0.0},
         ):
             with pytest.raises(ConfigError):
                 OracleInstance(**{**good, **bad})
+        OracleInstance(**{**good, "trials": 2**32})
+
+
+def per_trial_estimator(instance: OracleInstance) -> OracleReport:
+    """The estimator as one loop pass per trial, each from its own `Rng.split` stream.
+
+    This is the form the chunked `run_estimator_experiment` replaced; it
+    stays here as the reference that the chunked form must match bit for bit.
+    """
+    pop = instance.population
+    m, k = pop.shape
+    truth = float(true_risk(pop, instance.g).mean())
+    true_g = true_risk(pop, instance.g)
+    rng = Rng(instance.seed, ("oracle",))
+
+    trials = instance.trials
+    d_plain = np.empty(trials)
+    d_wave = np.empty(trials)
+    margin_counts = np.empty(trials)
+    condition_b_violations = 0
+    flips = 0
+
+    def risks(pred, y):
+        err = pred - y
+        return (err * err).mean(axis=0)
+
+    for t in range(trials):
+        r = rng.split("trial", t)
+        x, y = sample(pop, instance.n_samples, r)
+        risk_g = risks(predict(instance.g, x), y)
+        risk_gs = risks(predict(instance.g_star, x), y)
+        plain_est = risk_g.mean()
+        wave_est = wave_elementwise(risk_g, risk_gs, instance.epsilon).mean()
+        d_plain[t] = (plain_est - truth) ** 2
+        d_wave[t] = (wave_est - truth) ** 2
+        flipped = risk_g < risk_gs - instance.epsilon
+        if flipped.any():
+            flips += 1
+            if (risk_gs[flipped] >= true_g[flipped] + instance.epsilon).any():
+                condition_b_violations += 1
+        margin_counts[t] = np.count_nonzero(
+            risk_gs - risk_g - instance.epsilon > instance.margin_alpha
+        )
+
+    scale = 4.0 * instance.margin_alpha**2 / (m * k) ** 2
+    per_trial_bound = scale * margin_counts
+    gap = d_plain - d_wave
+    slack = gap - per_trial_bound
+
+    def se(arr):
+        if trials < 2:
+            return 0.0
+        return float(arr.std(ddof=1) / np.sqrt(trials))
+
+    return OracleReport(
+        mse_plain=float(d_plain.mean()),
+        mse_wave=float(d_wave.mean()),
+        theorem_bound=float(per_trial_bound.mean()),
+        condition_b_violation_rate=condition_b_violations / trials,
+        jensen_violations=0,
+        mse_diff=float(gap.mean()),
+        se_mse_diff=se(gap),
+        bound_slack=float(slack.mean()),
+        se_bound_slack=se(slack),
+        flip_rate=flips / trials,
+        trials=trials,
+    )
+
+
+def varied_instance(shape, epsilon, n_samples, trials, seed):
+    """Unequal coefficients and noise, with a reference predictor near the truth."""
+    size = shape[0] * shape[1]
+    true_map = np.linspace(0.5, 1.5, size).reshape(shape)
+    population = LinearGaussianPopulation(
+        true_map=true_map, noise_std=np.linspace(0.2, 0.8, size).reshape(shape), input_std=1.3
+    )
+    return OracleInstance(
+        population=population,
+        g=true_map + np.linspace(0.3, -0.4, size).reshape(shape),
+        g_star=true_map + 0.05,
+        epsilon=epsilon,
+        n_samples=n_samples,
+        trials=trials,
+        margin_alpha=0.05,
+        seed=seed,
+    )
+
+
+def estimator_grid():
+    """Every (seed, shape, epsilon, n_samples); nine of them, covering each pair of
+    the first three factors once, run unmarked and the rest are marked slow."""
+    seeds, shapes, epsilons = (0, 2024, 2**40 + 3), ((1, 1), (3, 2), (4, 5)), (0.0, 0.01, np.inf)
+    for (i, seed), (j, shape), (e, epsilon), n in itertools.product(
+        enumerate(seeds), enumerate(shapes), enumerate(epsilons), (1, 25)
+    ):
+        quick = e == (i + j) % 3 and n == (1, 25)[(i + j) % 2]
+        yield pytest.param(seed, shape, epsilon, n, marks=() if quick else pytest.mark.slow)
+
+
+class TestChunkedEstimator:
+    """The chunked estimator reports exactly what the per-trial loop reports."""
+
+    TRIALS = (1, 127, 128, 129, 500)  # around and across the chunk boundary
+
+    @pytest.mark.parametrize("seed,shape,epsilon,n_samples", estimator_grid())
+    def test_matches_per_trial_loop(self, seed, shape, epsilon, n_samples):
+        for trials in self.TRIALS:
+            instance = varied_instance(shape, epsilon, n_samples, trials, seed)
+            want = per_trial_estimator(instance).to_dict()
+            assert run_estimator_experiment(instance).to_dict() == want, trials
+
+    def test_grid_exercises_every_branch(self):
+        # The comparison above means something only if flips, condition-(b)
+        # violations and margin counts occur in it.
+        report = per_trial_estimator(varied_instance((3, 2), 0.01, 25, 500, 0))
+        assert 0 < report.condition_b_violation_rate < report.flip_rate < 1
+        assert report.theorem_bound > 0
+
+    @pytest.mark.slow  # tracemalloc makes the run about ten times slower: 3 s
+    def test_working_set_stays_one_chunk(self):
+        # 20 000 trials at the reference shape peak near 1.2 MiB: the
+        # per-trial results take 480 KB and one chunk's draws 300 KB.
+        # Scoring every trial at once would need about 100 MB.
+        instance = reference_instance(trials=20000)
+        run_estimator_experiment(reference_instance(trials=1))  # one-time allocations
+        tracemalloc.start()
+        try:
+            run_estimator_experiment(instance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 class TestJensenAudit:
