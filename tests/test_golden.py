@@ -108,6 +108,20 @@ def _multiblock_case(tmp: Path) -> dict:
     return _digest(tmp, ("train_log.csv", "metrics.csv", "model.ckpt"))
 
 
+def _criterion5_case(objective: str):
+    """The criterion-5 shape: 96->96 windows, hidden 256, 115 296 parameters
+    (three full update blocks plus a tail), 1 009 train windows, so the
+    evaluation spans more than one chunk."""
+
+    def run(tmp: Path) -> dict:
+        _cli("train", "--out", tmp, *TRAIN_ARGS, "--set", "length=2000",
+             "--set", "input_len=96", "--set", "output_len=96", "--set", "hidden_dim=256",
+             "--set", f"objective={objective}")
+        return _digest(tmp, ("train_log.csv", "metrics.csv", "model.ckpt"))
+
+    return run
+
+
 def _sweep_case(tmp: Path) -> dict:
     _cli("sweep", "--out", tmp, *TRAIN_ARGS, "--set", "objective=wave_indiv",
          "--param", "learning_rate", "--values", "0.0001,0.0003,0.001")
@@ -160,6 +174,7 @@ CASES = {
        for o in ("flooding", "constant_flooding")},
     "train/wave_indiv/csv_k3": _multifeature_case,
     "train/wave_indiv/hidden256": _multiblock_case,
+    **{f"train/{o}/criterion5": _criterion5_case(o) for o in ("plain", "wave_indiv")},
     "sweep/learning_rate": _sweep_case,
     "eval/test": _eval_case,
     "theorem": _theorem_case,
