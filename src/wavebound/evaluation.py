@@ -13,8 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nn import ModelParams, mlp_forward_batch
+from .nn import ModelParams, _check_finite, _check_shape, _forward_flat
 from .rng import Rng
+
+# Windows per chunk of `evaluate`.
+CHUNK = 512
 
 
 @dataclass
@@ -27,7 +30,23 @@ class MetricRecord:
 
 
 def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> MetricRecord:
-    """Average squared and absolute error of params over a window set."""
+    """Average squared and absolute error of params over a window set.
+
+    The windows are forwarded CHUNK at a time, so the temporaries stay a
+    chunk in size; only |err| is kept for the whole set.  The results are
+    bit for bit those of one forward over the whole set:
+
+    - squared errors go into rows 1.. of a scratch array whose row 0 holds
+      the running total, and one reduction over its rows continues that
+      total, in the sequential order of `(err * err).mean(axis=0)`;
+    - the mean absolute error is the mean of the whole |err| buffer, with
+      numpy's pairwise summation over the same n*M*K values;
+    - a matmul over a few rows takes another BLAS kernel (numpy's gemv for
+      one row, OpenBLAS's small-matrix kernel for a few) than the same rows
+      inside a matmul over many, and rounds differently.  So a short last
+      chunk is forwarded over the last CHUNK windows and keeps only its
+      new rows.
+    """
     past = np.asarray(past, dtype=np.float64)
     future = np.asarray(future, dtype=np.float64)
     if past.ndim != 3 or future.ndim != 3 or past.shape[0] != future.shape[0]:
@@ -39,17 +58,32 @@ def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> Metri
             f"future windows of shape {future.shape[1:]} do not match the model's "
             f"output shape {params.output_shape}"
         )
-    if past.shape[0] < 1:
+    n = past.shape[0]
+    if n < 1:
         raise DataError("empty window set")
-    pred = mlp_forward_batch(params, past)
-    err = pred - future
-    per_element = (err * err).mean(axis=0)
+    _check_shape(params, past)
+
+    width = future.shape[1] * future.shape[2]
+    rows = np.zeros((min(n, CHUNK) + 1, width))
+    abs_err = np.empty((n, width))
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        count = stop - start
+        first = start if start == 0 or count == CHUNK else stop - CHUNK
+        chunk = past[first:stop]
+        _check_finite(chunk)
+        err = _forward_flat(params, chunk.reshape(stop - first, -1))[-1][start - first :]
+        err -= future[start:stop].reshape(count, width)
+        np.abs(err, out=abs_err[start:stop])
+        np.multiply(err, err, out=rows[1 : count + 1])
+        rows[0] = np.add.reduce(rows[: count + 1], axis=0)
+    per_element = (rows[0] / n).reshape(params.output_shape)
     return MetricRecord(
         mse=float(per_element.mean()),
-        mae=float(np.abs(err).mean()),
+        mae=float(abs_err.mean()),
         per_step_mse=per_element.mean(axis=1),
         per_element_mse=per_element,
-        sample_count=past.shape[0],
+        sample_count=n,
     )
 
 

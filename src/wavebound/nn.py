@@ -19,7 +19,11 @@ Elementwise passes over that buffer (the Adam and EMA updates) walk it in
 
 All functions are pure: they never mutate their arguments.  The forward
 pass applies each layer's bias and activation in place on the fresh matmul
-result, so a layer costs one allocation.
+result, so a layer costs one allocation.  The public `mlp_forward_batch`
+and `mlp_backward_batch` check their inputs and then run the unchecked
+`_forward_flat` and `_backward_from`; the trainer, which checks its window
+sets once, calls those two directly and backpropagates through the hidden
+states of the forward it has already made.
 """
 
 from __future__ import annotations
@@ -158,18 +162,30 @@ def new_forecaster(
     )
 
 
-def _activate_grad(name: str, h: np.ndarray) -> np.ndarray:
-    # derivative expressed through the activation output h
-    return 1.0 - h * h if name == "tanh" else np.ones_like(h)
+def _times_activate_grad(name: str, delta: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """delta times the activation's derivative, expressed through its output h.
+
+    The identity's derivative is 1 and x * 1.0 == x exactly, so delta passes
+    through unchanged.
+    """
+    return delta * (1.0 - h * h) if name == "tanh" else delta
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise ConfigError("input contains non-finite values")
+
+
+def _check_shape(params: ModelParams, x: np.ndarray) -> None:
+    want = params.input_shape
+    if x.ndim != 3 or x.shape[1:] != want:
+        raise ConfigError(f"expected batched input (n, {want[0]}, {want[1]}), got {x.shape}")
 
 
 def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    want = params.input_shape
-    if x.ndim != 3 or x.shape[1:] != want:
-        raise ConfigError(f"expected batched input (n, {want[0]}, {want[1]}), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ConfigError("input contains non-finite values")
+    _check_shape(params, x)
+    _check_finite(x)
     return x
 
 
@@ -184,6 +200,25 @@ def _forward_flat(params: ModelParams, flat: np.ndarray) -> list[np.ndarray]:
             np.tanh(h, out=h)
         states.append(h)
     return states
+
+
+def _backward_from(params: ModelParams, states: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
+    """Flat gradient of sum_i <upstream_i, states[-1]_i>, unchecked.
+
+    `states` is `_forward_flat(params, ...)`'s list and `upstream` an
+    (n, M*K) array; callers have checked both.
+    """
+    delta = _times_activate_grad(params.activations[-1], upstream, states[-1])
+    grad = np.empty_like(params.flat)
+    views = params.with_flat(grad)
+    for i in range(params.n_layers - 1, -1, -1):
+        np.sum(delta, axis=0, out=views.biases[i])
+        np.matmul(delta.T, states[i], out=views.weights[i])
+        if i > 0:
+            delta = _times_activate_grad(
+                params.activations[i - 1], delta @ params.weights[i], states[i]
+            )
+    return grad
 
 
 def mlp_forward_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -212,16 +247,5 @@ def mlp_backward_batch(
         raise ConfigError(f"expected upstream of shape ({n}, {m}, {k}), got {upstream.shape}")
     if not np.isfinite(upstream).all():
         raise ConfigError("upstream contains non-finite values")
-
     states = _forward_flat(params, inputs.reshape(n, -1))
-    delta = upstream.reshape(n, -1) * _activate_grad(params.activations[-1], states[-1])
-    grad = np.empty_like(params.flat)
-    views = params.with_flat(grad)
-    for i in range(params.n_layers - 1, -1, -1):
-        np.sum(delta, axis=0, out=views.biases[i])
-        np.matmul(delta.T, states[i], out=views.weights[i])
-        if i > 0:
-            delta = (delta @ params.weights[i]) * _activate_grad(
-                params.activations[i - 1], states[i]
-            )
-    return grad
+    return _backward_from(params, states, upstream.reshape(n, -1))

@@ -20,6 +20,8 @@ import operator
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK32 = 0xFFFFFFFF
 # numpy's SeedSequence: a pool of 4 uint32 words and its hash constants.
 _POOL = 4
@@ -100,6 +102,8 @@ class Rng:
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         self.spawn_key = tuple(_key_part(k) for k in spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(seq))

@@ -4,7 +4,8 @@ Each iteration: forward the source network on a batch; for bound-based
 objectives, forward the frozen target network on the same batch; reduce to
 per-element risks; turn the objective's derivative w.r.t. each risk entry
 into a +-1 sign mask; push mask * 2*(pred - future)/(N*M*K) through manual
-backprop; take one Adam step; then fold the new source parameters into the
+backprop, starting from the hidden states of the source forward already
+made; take one Adam step; then fold the new source parameters into the
 exponential-moving-average target.  The optimizer step always precedes the
 EMA update.
 
@@ -28,7 +29,11 @@ from .data import atomic_open, batch_indices, write_rows
 from .ema import EmaMirror, ema_init, ema_update
 from .errors import ConfigError, NumericError
 from .evaluation import evaluate
-from .nn import ModelParams, mlp_backward_batch, mlp_forward_batch, new_forecaster
+from .nn import ModelParams, _backward_from, _forward_flat, new_forecaster
+
+# Not called here (`train` runs the unchecked forward and backward), but
+# perfbench/tracing.py wraps these names in this module, so they stay bound.
+from .nn import mlp_backward_batch, mlp_forward_batch  # noqa: F401
 from .objectives import ObjectiveKind, RiskMatrix, objective_mask, objective_value, per_element_risk
 from .rng import Rng
 
@@ -132,7 +137,11 @@ class TrainResult:
 
 
 def _window_set(name: str, window_set, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Checked float64 (past, future) arrays of one stacked window set."""
+    """Checked float64 (past, future) arrays of one stacked window set.
+
+    They are checked here once, finite values included, so the steps skip
+    the public forward and backward's per-call checks.
+    """
     if not isinstance(window_set, tuple):
         raise ConfigError(f"{name} set must be a stacked (past, future) tuple")
     past, future = (np.asarray(a, dtype=np.float64) for a in window_set)
@@ -145,6 +154,8 @@ def _window_set(name: str, window_set, config: TrainConfig) -> tuple[np.ndarray,
             f"{name} set window lengths {past.shape[1]}/{future.shape[1]} do not match "
             f"config {config.input_len}/{config.output_len}"
         )
+    if not (np.isfinite(past).all() and np.isfinite(future).all()):
+        raise ConfigError(f"{name} set contains non-finite values")
     return past, future
 
 
@@ -191,23 +202,24 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
         objective_sum = 0.0
         sample_sum = 0
         for idx in order:
-            x = train_past[idx]
+            n = len(idx)
+            x = train_past[idx].reshape(n, -1)
             y = train_future[idx]
-            pred = mlp_forward_batch(params, x)
+            states = _forward_flat(params, x)
+            pred = states[-1].reshape(y.shape)
             risk = per_element_risk(pred, y)
             target_risk = frozen_risk
             if config.objective.needs_target and frozen_risk is None:
-                target_pred = mlp_forward_batch(mirror.target, x)
+                target_pred = _forward_flat(mirror.target, x)[-1].reshape(y.shape)
                 target_risk = per_element_risk(target_pred, y)
             value = objective_value(config.objective, risk, target_risk)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite objective {value!r} at iteration {adam_state.step_count}")
             mask = objective_mask(config.objective, risk, target_risk)
-            n = pred.shape[0]
             upstream = mask[None, :, :] * (
                 2.0 * (pred - y) / (n * config.output_len * n_features)
             )
-            grads = mlp_backward_batch(params, x, upstream)
+            grads = _backward_from(params, states, upstream.reshape(n, -1))
             try:
                 params, adam_state = adam_step(params, grads, adam_state, config.learning_rate)
             except NumericError as exc:

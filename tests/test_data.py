@@ -34,6 +34,10 @@ class TestSynthSeries:
         ds = synth_series(192, 0.0, 0)
         assert np.allclose(ds.values[:96], ds.values[96:], atol=1e-12)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            synth_series(10, 0.5, -1)
+
     def test_seeded_noise_reproducible(self):
         a = synth_series(50, 0.5, 3)
         b = synth_series(50, 0.5, 3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from wavebound import (
     mlp_forward_batch,
     new_forecaster,
 )
+from wavebound.ema import ema_init, ema_update
+from wavebound.evaluation import CHUNK, MetricRecord
 
 
 def linear_model(weight, bias, input_shape, output_shape):
@@ -101,6 +105,90 @@ class TestEvaluate:
         params = copy_model(2)
         with pytest.raises(DataError):
             evaluate(params, np.zeros((0, 2, 1)), np.zeros((0, 2, 1)))
+
+
+def full_set_evaluate(params, past, future):
+    """The reference: one forward over the whole set, whole-set error arrays."""
+    pred = mlp_forward_batch(params, past)
+    err = pred - future
+    per_element = (err * err).mean(axis=0)
+    return MetricRecord(
+        mse=float(per_element.mean()),
+        mae=float(np.abs(err).mean()),
+        per_step_mse=per_element.mean(axis=1),
+        per_element_mse=per_element,
+        sample_count=past.shape[0],
+    )
+
+
+def chunk_test_model(k: int, hidden: int, network: str):
+    """A fresh forecaster ("source"), or the EMA target of one after a few
+    perturbed updates ("target"), on 96 -> 96 windows of k features."""
+    rng = Rng(11, ("chunk", k, hidden))
+    source = new_forecaster(96, 96, k, hidden, rng.split("init"))
+    if network == "source":
+        return source
+    mirror = ema_init(source, 0.9)
+    for step in range(3):
+        noise = rng.split("step", step).normal(size=source.flat.shape)
+        mirror = ema_update(mirror, source.with_flat(source.flat + 0.05 * noise))
+    return mirror.target
+
+
+class TestChunkedEvaluate:
+    # A short last chunk is where a forward of its own rows alone would
+    # round differently (numpy's gemv for one row, OpenBLAS's small-matrix
+    # kernel for a few); hidden 64 and 256 are the two benchmark shapes.
+    @pytest.mark.parametrize("network", ["source", "target"])
+    @pytest.mark.parametrize("hidden", [64, 256])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+    def test_bit_identical_to_one_full_forward(self, n, k, hidden, network):
+        params = chunk_test_model(k, hidden, network)
+        rng = Rng(12, (n, k))
+        past = rng.normal(size=(n, 96, k))
+        future = rng.normal(size=(n, 96, k))
+        got = evaluate(params, past, future)
+        want = full_set_evaluate(params, past, future)
+        assert np.float64(got.mse).tobytes() == np.float64(want.mse).tobytes()
+        assert np.float64(got.mae).tobytes() == np.float64(want.mae).tobytes()
+        for name in ("per_step_mse", "per_element_mse"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got.sample_count == n
+
+    def test_peak_memory_stays_near_one_error_buffer(self):
+        # Beyond a chunk's temporaries, evaluate keeps one (n, M*K) buffer
+        # of |err|.  A whole-set forward with its error, squared error and
+        # |err| arrays would peak at 3x that buffer.
+        hidden, width = 64, 96
+        params = chunk_test_model(1, hidden, "source")
+        n = 8 * CHUNK + 5
+        rng = Rng(13)
+        past = rng.normal(size=(n, 96, 1))
+        future = rng.normal(size=(n, 96, 1))
+        evaluate(params, past[:CHUNK], future[:CHUNK])  # one-time allocations
+        tracemalloc.start()
+        try:
+            evaluate(params, past, future)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one chunk: the scratch rows, the hidden states and output, the finiteness mask
+        slack = 8 * ((CHUNK + 1) * width + CHUNK * (2 * hidden + width)) + CHUNK * 96 + 2**16
+        assert peak <= 1.5 * n * width * 8 + slack, (peak, n * width * 8)
+
+    def test_non_finite_past_in_a_later_chunk_rejected(self):
+        params = chunk_test_model(1, 64, "source")
+        past = np.zeros((CHUNK + 3, 96, 1))
+        past[CHUNK + 1, 5, 0] = np.nan
+        with pytest.raises(ConfigError, match="input contains non-finite values"):
+            evaluate(params, past, np.zeros((CHUNK + 3, 96, 1)))
+
+    def test_past_of_another_shape_rejected_with_its_shape(self):
+        params = chunk_test_model(1, 64, "source")
+        with pytest.raises(ConfigError, match=r"expected batched input \(n, 96, 1\), got \(4, 90, 1\)"):
+            evaluate(params, np.zeros((4, 90, 1)), np.zeros((4, 96, 1)))
 
 
 class _FakeRecord:

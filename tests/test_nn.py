@@ -11,6 +11,7 @@ from wavebound import (
     mlp_forward_batch,
     new_forecaster,
 )
+from wavebound.nn import _backward_from, _forward_flat
 
 
 def forward_one(model, window):
@@ -207,3 +208,44 @@ def test_backward_gradient_order_matches_tensors():
     n_w0 = model.weights[0].size
     assert not grad[:n_w0].any()
     assert grad[n_w0 : n_w0 + model.biases[0].size].all()
+
+
+def recomputing_backward(params, inputs, upstream):
+    """The backward as it was before `_backward_from`: it makes its own
+    forward and multiplies the output layer's delta by np.ones_like."""
+    n = inputs.shape[0]
+    states = _forward_flat(params, inputs.reshape(n, -1))
+    delta = upstream.reshape(n, -1) * np.ones_like(states[-1])
+    grad = np.empty_like(params.flat)
+    views = params.with_flat(grad)
+    for i in range(params.n_layers - 1, -1, -1):
+        np.sum(delta, axis=0, out=views.biases[i])
+        np.matmul(delta.T, states[i], out=views.weights[i])
+        if i > 0:
+            delta = (delta @ params.weights[i]) * (1.0 - states[i] * states[i])
+    return grad
+
+
+@pytest.mark.parametrize("hidden,n", [(4, 1), (16, 7), (256, 32)])
+def test_backward_from_forward_states_is_bit_identical(hidden, n):
+    rng = Rng(8, (hidden,))
+    model = new_forecaster(12, 6, 2, hidden, rng.split("init"))
+    x = rng.normal(size=(n, 12, 2))
+    upstream = rng.normal(size=(n, 6, 2))
+    states = _forward_flat(model, x.reshape(n, -1))
+    got = _backward_from(model, states, upstream.reshape(n, -1))
+    want = recomputing_backward(model, x, upstream)
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == mlp_backward_batch(model, x, upstream).tobytes()
+
+
+def test_backward_from_leaves_its_arguments_alone():
+    rng = Rng(9)
+    model = new_forecaster(5, 3, 1, 8, rng.split("init"))
+    x = rng.normal(size=(4, 5))
+    upstream = rng.normal(size=(4, 3))
+    states = _forward_flat(model, x)
+    before = [s.copy() for s in states], upstream.copy(), model.flat.copy()
+    _backward_from(model, states, upstream)
+    assert all(np.array_equal(a, b) for a, b in zip(before[0], states))
+    assert np.array_equal(before[1], upstream) and np.array_equal(before[2], model.flat)

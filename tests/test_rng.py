@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavebound import Rng
+from wavebound import ConfigError, Rng
 
 
 def test_same_seed_same_stream():
@@ -44,6 +44,12 @@ def test_nested_splits():
         r.split("x").split(2).normal(size=3),
         Rng(11, ("x", 2)).normal(size=3),
     )
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_negative_seed_rejected(seed):
+    with pytest.raises(ConfigError, match=f"seed must be a non-negative integer, got {seed}"):
+        Rng(seed)
 
 
 def test_negative_key_rejected():

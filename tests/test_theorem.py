@@ -116,6 +116,10 @@ class TestEstimatorExperiment:
         assert report.mse_diff - 3 * report.se_mse_diff > 0
         assert report.bound_slack - 3 * report.se_bound_slack > 0
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            run_full_oracle(reference_instance(trials=10, seed=-1))
+
     def test_same_seed_reproducible(self):
         a = run_estimator_experiment(self.small_instance())
         b = run_estimator_experiment(self.small_instance())

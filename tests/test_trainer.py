@@ -96,6 +96,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="window lengths"):
             train(cfg, *SETS)
 
+    @pytest.mark.parametrize("part", [0, 1])  # past, future
+    @pytest.mark.parametrize("index,name", [(0, "train"), (1, "validation"), (2, "test")])
+    def test_non_finite_window_rejected_before_the_first_step(self, index, name, part, monkeypatch):
+        # Unchecked, a NaN future window would surface mid-run as a NumericError.
+        sets = [tuple(a.copy() for a in s) for s in SETS]
+        sets[index][part][-1, 0, 0] = np.nan
+        monkeypatch.setattr(trainer_module, "_forward_flat", None)  # no step may run
+        with pytest.raises(ConfigError, match=f"^{name} set contains non-finite values$"):
+            train(make_config(ObjectiveKind.wave_indiv(0.01)), *sets)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            train(make_config(ObjectiveKind.plain(), seed=-1), *SETS)
+
 
 class TestTrajectoryIdentities:
     def test_zero_learning_rate_freezes_params(self):
@@ -153,6 +167,41 @@ class TestLoopMechanics:
         assert [k for k, _ in calls] == ["adam", "ema"] * 3
         for (_, stepped), (_, folded) in zip(calls[0::2], calls[1::2]):
             assert folded is stepped  # mirror folds in the freshly stepped params
+
+    @pytest.mark.parametrize("objective,per_step", [
+        (ObjectiveKind.plain(), 1), (ObjectiveKind.wave_indiv(0.01), 2),
+    ])
+    def test_one_source_forward_per_step(self, objective, per_step, monkeypatch):
+        # The backward reuses the source forward's hidden states; only the
+        # wave objectives add a target forward.  The checked public
+        # wrappers are not called at all.
+        sources, targets, mirror_targets = [], [], []
+        real_forward = trainer_module._forward_flat
+
+        def spy_forward(params, flat):
+            (targets if any(params is t for t in mirror_targets) else sources).append(params)
+            return real_forward(params, flat)
+
+        def spy_mirror(real):
+            def spy(*args):
+                mirror = real(*args)
+                mirror_targets.append(mirror.target)
+                return mirror
+
+            return spy
+
+        def refuse(*args):
+            raise AssertionError("train() called a checked public wrapper")
+
+        monkeypatch.setattr(trainer_module, "_forward_flat", spy_forward)
+        for name in ("ema_init", "ema_update"):
+            monkeypatch.setattr(trainer_module, name, spy_mirror(getattr(trainer_module, name)))
+        monkeypatch.setattr(trainer_module, "mlp_forward_batch", refuse)
+        monkeypatch.setattr(trainer_module, "mlp_backward_batch", refuse)
+        train(make_config(objective, max_epochs=2), *SETS)
+        steps = 2 * 3  # 2 epochs of 24 windows / batch 8
+        assert len(sources) == steps
+        assert len(targets) == (per_step - 1) * steps
 
     def test_same_seed_same_log(self):
         cfg = make_config(ObjectiveKind.wave_indiv(0.01))
