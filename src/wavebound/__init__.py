@@ -23,7 +23,7 @@ from .data import (
 )
 from .ema import EmaMirror, ema_init, ema_update
 from .errors import ConfigError, DataError, NumericError, WaveboundError
-from .evaluation import evaluate, generalization_gap, loss_slice
+from .evaluation import evaluate, generalization_gap
 from .nn import ModelParams, mlp_backward_batch, mlp_forward_batch, new_forecaster
 from .objectives import (
     ObjectiveKind,

@@ -2,11 +2,13 @@
 
 Bias-corrected first/second moments, one shared step counter.  The moments
 and the gradient share the layout of ModelParams.flat, so a step is one
-vectorised update.  Pure functional style: `adam_step` returns fresh params
-and state, leaving its inputs untouched, so snapshots taken during training
-stay valid.  It writes those fresh buffers one cache-sized block at a time
-(`nn.blocks`), with every ufunc writing through `out=` in the order of the
-textbook expressions, so the results match them bit for bit.
+vectorised update.  `adam_step` updates in place: the new parameters go
+into `params.flat` and the new moments into the state's own buffers, so a
+run keeps one buffer of each for its whole length.  It walks them one
+cache-sized block at a time (`nn.blocks`) with two blocks of scratch, every
+ufunc writing through `out=` in the order of the textbook expressions, so
+the results match them bit for bit.  Callers that need an earlier state
+keep their own copy (`trainer.train` keeps the best epoch's).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def adam_init(params: ModelParams) -> AdamState:
 def adam_step(
     params: ModelParams, grads: np.ndarray, state: AdamState, lr: float
 ) -> tuple[ModelParams, AdamState]:
-    """One Adam update on a flat gradient; returns (new params, new state)."""
+    """One Adam update on a flat gradient, in place; returns (params, state)."""
     if np.shape(grads) != params.flat.shape:
         raise ConfigError(f"gradient shape {np.shape(grads)} != parameters {params.flat.shape}")
     if not np.isfinite(grads).all():
@@ -48,26 +50,28 @@ def adam_step(
     t = state.step_count + 1
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    flat = params.flat
-    new, m, v = np.empty_like(flat), np.empty_like(flat), np.empty_like(flat)
-    scratch = np.empty(min(BLOCK, flat.size))
+    flat, m, v = params.flat, state.first_moment, state.second_moment
+    size = min(BLOCK, flat.size)
+    scratch, update = np.empty(size), np.empty(size)
     for s in blocks(flat.size):
-        g, mb, vb, nb, tmp = grads[s], m[s], v[s], new[s], scratch[: s.stop - s.start]
+        g, mb, vb, pb = grads[s], m[s], v[s], flat[s]
+        tmp, ub = scratch[: s.stop - s.start], update[: s.stop - s.start]
         # m = BETA1 * m + (1 - BETA1) * g
-        np.multiply(BETA1, state.first_moment[s], out=mb)
+        np.multiply(BETA1, mb, out=mb)
         np.multiply(1.0 - BETA1, g, out=tmp)
         np.add(mb, tmp, out=mb)
         # v = BETA2 * v + (1 - BETA2) * g * g
-        np.multiply(BETA2, state.second_moment[s], out=vb)
+        np.multiply(BETA2, vb, out=vb)
         np.multiply(1.0 - BETA2, g, out=tmp)
         np.multiply(tmp, g, out=tmp)
         np.add(vb, tmp, out=vb)
-        # new = p - lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+        # p = p - lr * (m / bc1) / (sqrt(v / bc2) + EPS)
         np.divide(vb, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         np.add(tmp, EPS, out=tmp)
-        np.divide(mb, bc1, out=nb)
-        np.multiply(lr, nb, out=nb)
-        np.divide(nb, tmp, out=nb)
-        np.subtract(flat[s], nb, out=nb)
-    return params.with_flat(new), AdamState(m, v, t)
+        np.divide(mb, bc1, out=ub)
+        np.multiply(lr, ub, out=ub)
+        np.divide(ub, tmp, out=ub)
+        np.subtract(pb, ub, out=pb)
+    state.step_count = t
+    return params, state

@@ -8,7 +8,7 @@ Format (all integers little-endian):
                        output_features, n_layers
   layers   per layer uint32 x 3: out_dim, in_dim, activation code
                        (index into nn.ACTIVATIONS)
-  mirror   uint32 has_mirror (0/1), float64 decay
+  mirror   uint32 has_mirror (0/1), float64 decay (in [0, 1] when present)
   payload  the source network's ModelParams.flat as little-endian float64,
            i.e. the tensors in (w0, b0, w1, b1, ...) order, row-major;
            then the mirror target's flat buffer if present
@@ -90,6 +90,11 @@ def checkpoint_load(path) -> tuple[ModelParams, EmaMirror | None]:
         if act_code >= len(ACTIVATIONS):
             raise DataError(f"{path}: unknown activation code {act_code}")
     has_mirror, decay = cur.unpack("<Id")
+    corrupt = f"{path}: corrupt checkpoint header"
+    if has_mirror not in (0, 1):
+        raise DataError(f"{corrupt}: has_mirror is {has_mirror}, not 0 or 1")
+    if has_mirror and not 0.0 <= decay <= 1.0:  # NaN fails too
+        raise DataError(f"{corrupt}: mirror decay {decay!r} is not in [0, 1]")
     size = sum(out_dim * in_dim + out_dim for out_dim, in_dim, _ in layers)
     nets = [np.frombuffer(cur.take(8 * size), dtype="<f8").astype(np.float64)]
     if has_mirror:
@@ -105,6 +110,6 @@ def checkpoint_load(path) -> tuple[ModelParams, EmaMirror | None]:
             (out_len, out_feat),
         )
     except ConfigError as exc:
-        raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
+        raise DataError(f"{corrupt}: {exc}") from None
     mirror = EmaMirror(target=params.with_flat(nets[1]), decay=decay) if has_mirror else None
     return params, mirror

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import shutil
 import sys
@@ -36,6 +37,7 @@ from .data import (
     split_and_standardize,
     stack_windows,
     synth_series,
+    utf8_error_line,
     windowize,
     write_rows,
 )
@@ -121,10 +123,17 @@ def _split_pair(text: str, where: str) -> tuple[str, str]:
 
 def _load_config_file(path) -> dict[str, str]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [(n, raw.strip()) for n, raw in enumerate(fh, start=1)]
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        n, bad = utf8_error_line(raw, exc)
+        raise ConfigError(f"{path}:{n}: cannot decode {bad!r} as utf-8") from None
+    # Lines end where a text-mode open would end them: \n, \r\n or a lone \r.
+    lines = [(n, line.strip()) for n, line in enumerate(io.StringIO(text, newline=None), start=1)]
     return dict(
         _split_pair(line, f"{path}:{n}: expected")
         for n, line in lines

@@ -196,6 +196,13 @@ def _plain_body(fh) -> np.ndarray | None:
                           converters={0: lambda cell: 0.0})
 
 
+def utf8_error_line(raw: bytes, exc: UnicodeDecodeError) -> tuple[int, bytes]:
+    """(line number, bytes) of the sequence that exc found not utf-8 in raw."""
+    head = raw[: exc.start]  # lines end at \n, \r\n or a lone \r, as text-mode reads see them
+    line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return line, raw[exc.start : exc.end]
+
+
 def _not_utf8(path) -> DataError:
     """The error for a file that is not utf-8, naming the row of its first bad byte."""
     with open(path, "rb") as fh:
@@ -203,9 +210,8 @@ def _not_utf8(path) -> DataError:
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = raw[: exc.start]  # rows end at \n, \r\n or a lone \r, as csv.reader reads them
-        row = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return DataError(f"{path}: row {row}: cannot decode {raw[exc.start:exc.end]!r} as utf-8")
+        row, bad = utf8_error_line(raw, exc)
+        return DataError(f"{path}: row {row}: cannot decode {bad!r} as utf-8")
     return DataError(f"{path}: not utf-8")
 
 

@@ -4,9 +4,10 @@ The target network supplies per-output error bounds during training and
 receives no gradients.  Its parameters track the source as
 tau <- decay*tau + (1-decay)*theta, applied once per optimizer step,
 immediately after the step, as one blend of the two flat parameter
-buffers.  The blend writes a fresh buffer one cache-sized block at a time
-(`nn.blocks`), bit for bit equal to the expression form.  The target is
-initialized as an exact copy of the source.
+buffers.  The blend writes into the target's own buffer, one cache-sized
+block at a time (`nn.blocks`) with one block of scratch, bit for bit equal
+to the expression form.  The target is initialized as an exact copy of the
+source.
 """
 
 from __future__ import annotations
@@ -32,16 +33,15 @@ def ema_init(source: ModelParams, decay: float) -> EmaMirror:
 
 
 def ema_update(mirror: EmaMirror, source: ModelParams) -> EmaMirror:
-    """New mirror with every entry moved to decay*tau + (1-decay)*theta."""
+    """Move every target entry to decay*tau + (1-decay)*theta, in place; returns mirror."""
     a = mirror.decay
     if mirror.target.layer_dims != source.layer_dims:
         raise ConfigError("target and source parameter shapes differ")
     tau, theta = mirror.target.flat, source.flat
-    blended = np.empty_like(tau)
     scratch = np.empty(min(BLOCK, tau.size))
     for s in blocks(tau.size):
-        out, tmp = blended[s], scratch[: s.stop - s.start]
-        np.multiply(a, tau[s], out=out)
+        out, tmp = tau[s], scratch[: s.stop - s.start]
+        np.multiply(a, out, out=out)
         np.multiply(1.0 - a, theta[s], out=tmp)
         np.add(out, tmp, out=out)
-    return EmaMirror(target=mirror.target.with_flat(blended), decay=a)
+    return mirror

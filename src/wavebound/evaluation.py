@@ -1,4 +1,4 @@
-"""Forecast metrics and 1-D loss-landscape slices.
+"""Forecast metrics.
 
 Everything here is read-only over immutable params and window tensors.
 Squared-error metrics decompose per (horizon step, feature); the grand mean
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .nn import ModelParams, _check_finite, _check_shape, _forward_flat
-from .rng import Rng
 
 # Windows per chunk of `evaluate`.
 CHUNK = 512
@@ -93,54 +92,3 @@ def generalization_gap(log) -> np.ndarray:
     if not records:
         raise ConfigError("empty training log")
     return np.array([r.test_mse - r.train_mse for r in records])
-
-
-def _slice_direction(params: ModelParams, rng: Rng) -> np.ndarray:
-    """Random direction in the layout of params.flat, rescaled rowwise.
-
-    For a weight matrix, each output row of the direction is scaled to the
-    norm of the matching weight row; bias entries are scaled to their own
-    magnitudes.  Rows (or entries) of norm zero get a zero direction, so the
-    perturbation never leaves the model's own scale.
-    """
-    direction = []
-    for tensor in params.tensors():
-        d = rng.normal(size=tensor.shape)
-        if tensor.ndim == 2:
-            d_norm = np.linalg.norm(d, axis=1, keepdims=True)
-            t_norm = np.linalg.norm(tensor, axis=1, keepdims=True)
-        else:
-            d_norm = np.abs(d)
-            t_norm = np.abs(tensor)
-        safe = np.where(d_norm > 0, d_norm, 1.0)
-        direction.append((d * np.where(d_norm > 0, t_norm / safe, 0.0)).ravel())
-    return np.concatenate(direction)
-
-
-def loss_slice(
-    params: ModelParams,
-    direction_seed: int,
-    radius: float,
-    steps: int,
-    past: np.ndarray,
-    future: np.ndarray,
-) -> list[tuple[float, float]]:
-    """MSE along theta + t*d for t in [-radius, radius], t=0 sampled exactly.
-
-    steps must be odd and >= 3 so the center point is on the grid; the
-    center loss equals evaluate(params).mse exactly because the unperturbed
-    parameters are reused there.
-    """
-    if steps < 3 or steps % 2 == 0:
-        raise ConfigError("steps must be an odd integer >= 3")
-    if radius <= 0:
-        raise ConfigError("radius must be > 0")
-    direction = _slice_direction(params, Rng(direction_seed, ("slice-direction",)))
-    half = steps // 2
-    offsets = np.arange(1, half + 1) * (radius / half)
-    ts = np.concatenate([-offsets[::-1], [0.0], offsets])
-    out = []
-    for t in ts:
-        probe = params if t == 0.0 else params.with_flat(params.flat + t * direction)
-        out.append((float(t), evaluate(probe, past, future).mse))
-    return out

@@ -9,6 +9,12 @@ made; take one Adam step; then fold the new source parameters into the
 exponential-moving-average target.  The optimizer step always precedes the
 EMA update.
 
+Both updates write in place, so the source, its Adam moments and the target
+each keep one buffer for the whole run.  `train` is the only code that
+keeps earlier state: it allocates the best-epoch snapshot once, as copies of
+the initial networks, and refreshes it with `np.copyto` at every epoch whose
+validation MSE improves.
+
 A single gradient path serves every objective (they differ only in the
 mask), so trajectories that are mathematically equal (e.g. flood level 0 vs
 the plain objective) are bit-identical under the same seed.
@@ -186,11 +192,9 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
     if config.frozen_target_risk is not None:
         frozen_risk = RiskMatrix(np.full((config.output_len, n_features), config.frozen_target_risk))
 
-    # adam_step and ema_update return fresh buffers, so plain references
-    # to the best epoch's params and mirror stay valid snapshots.
+    best_mirror = EmaMirror(mirror.target.copy(), mirror.decay)
+    best_params = params.copy() if config.eval_network == "source" else best_mirror.target
     best_val = np.inf
-    best_params = params
-    best_mirror = mirror
     best_epoch = 0
     epochs_since_best = 0
 
@@ -221,10 +225,10 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
             )
             grads = _backward_from(params, states, upstream.reshape(n, -1))
             try:
-                params, adam_state = adam_step(params, grads, adam_state, config.learning_rate)
+                adam_step(params, grads, adam_state, config.learning_rate)
             except NumericError as exc:
                 raise NumericError(f"{exc} (iteration {adam_state.step_count})") from None
-            mirror = ema_update(mirror, params)
+            ema_update(mirror, params)
             objective_sum += value * n
             sample_sum += n
 
@@ -245,8 +249,9 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
         )
         if val_metrics.mse < best_val:
             best_val = val_metrics.mse
-            best_params = eval_params
-            best_mirror = mirror
+            np.copyto(best_params.flat, eval_params.flat)
+            if config.eval_network == "source":
+                np.copyto(best_mirror.target.flat, mirror.target.flat)
             best_epoch = epoch
             epochs_since_best = 0
         else:

@@ -64,21 +64,22 @@ def test_zero_learning_rate_is_identity():
     rng = Rng(0)
     model = new_forecaster(3, 2, 1, 4, rng.split("init"))
     grads = np.concatenate([rng.normal(size=t.shape).ravel() for t in model.tensors()])
+    before = model.copy()
     new, _ = adam_step(model, grads, adam_init(model), lr=0.0)
-    for a, b in zip(new.tensors(), model.tensors()):
+    for a, b in zip(new.tensors(), before.tensors()):
         assert np.array_equal(a, b)
 
 
-def test_step_is_pure():
+def test_rejected_step_leaves_params_and_state_unchanged():
     model = scalar_model(1.0)
-    state = adam_init(model)
-    before = [t.copy() for t in model.tensors()]
-    m_before = state.first_moment.copy()
-    adam_step(model, scalar_grads(0.3), state, lr=0.1)
-    for t, b in zip(model.tensors(), before):
-        assert np.array_equal(t, b)
-    assert np.array_equal(state.first_moment, m_before)
-    assert state.step_count == 0
+    state = AdamState(np.array([0.5, 0.25]), np.array([1.0, 2.0]), 4)
+    with pytest.raises(NumericError):
+        adam_step(model, scalar_grads(np.nan), state, lr=0.1)
+    with pytest.raises(ConfigError):
+        adam_step(model, np.zeros(3), state, lr=0.1)
+    assert model.flat.tolist() == [1.0, 0.0]
+    assert (state.first_moment.tolist(), state.second_moment.tolist()) == ([0.5, 0.25], [1.0, 2.0])
+    assert state.step_count == 4
 
 
 def test_shape_mismatch_rejected():
@@ -134,28 +135,29 @@ def expression_step(p, g, m, v, t, lr):
 @pytest.mark.parametrize("t", (1, 10_000))
 def test_blocked_step_matches_expression_bit_for_bit(n, t):
     model, grads, state = random_step_inputs(n, t - 1)
-    new, after = adam_step(model, grads, state, lr=1e-3)
     want = expression_step(model.flat, grads, state.first_moment, state.second_moment, t, 1e-3)
+    new, after = adam_step(model, grads, state, lr=1e-3)
     for got, ref in zip((new.flat, after.first_moment, after.second_moment), want):
         assert got.tobytes() == ref.tobytes()
     assert after.step_count == t
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
-def test_blocked_step_outputs_are_fresh_and_inputs_unchanged(n):
+def test_blocked_step_updates_in_place_and_leaves_gradient_unchanged(n):
     model, grads, state = random_step_inputs(n, 3)
-    inputs = (model.flat, grads, state.first_moment, state.second_moment)
-    before = [a.copy() for a in inputs]
+    buffers = (model.flat, state.first_moment, state.second_moment)
+    before = [a.copy() for a in (*buffers, grads)]
     new, after = adam_step(model, grads, state, lr=1e-3)
-    for out in (new.flat, after.first_moment, after.second_moment):
-        assert not any(np.shares_memory(out, a) for a in inputs)
-    for a, b in zip(inputs, before):
-        assert a.tobytes() == b.tobytes()
+    assert new is model and after is state
+    for got, buffer, old in zip((new.flat, after.first_moment, after.second_moment), buffers, before):
+        assert got is buffer
+        assert got.tobytes() != old.tobytes()
+    assert grads.tobytes() == before[-1].tobytes()
 
 
-def test_step_peak_memory_is_its_results_plus_one_block():
-    # Three fresh results, one block of scratch and the isfinite mask; the
-    # expression form holds about five parameter-sized arrays at its peak.
+def test_step_peak_memory_is_two_blocks_of_scratch():
+    # Two blocks of scratch and the isfinite mask; no parameter-sized
+    # buffer.  Returning fresh params and moments would add 3 * 8n bytes.
     n = 4 * BLOCK + 7
     model, grads, state = random_step_inputs(n, 0)
     tracemalloc.start()
@@ -165,4 +167,4 @@ def test_step_peak_memory_is_its_results_plus_one_block():
     finally:
         tracemalloc.stop()
     assert result[1].step_count == 1
-    assert peak <= 3 * model.flat.nbytes + BLOCK * 8 + n + OBJECTS
+    assert peak <= 2 * BLOCK * 8 + n + OBJECTS

@@ -188,3 +188,21 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match=r"m\.ckpt.*first layer expects 16 inputs"):
             checkpoint_load(path)
+
+    @pytest.mark.parametrize("has_mirror,decay,message", [
+        (7, 0.9, "has_mirror is 7, not 0 or 1"),
+        (7, float("nan"), "has_mirror is 7, not 0 or 1"),
+        (1, float("nan"), "mirror decay nan is not in [0, 1]"),
+        (1, -0.5, "mirror decay -0.5 is not in [0, 1]"),
+        (1, 1.5, "mirror decay 1.5 is not in [0, 1]"),
+    ])
+    def test_corrupt_mirror_header_is_data_error(self, tmp_path, model, has_mirror, decay, message):
+        path = self.saved(tmp_path, model, ema_init(model, 0.9))
+        blob = bytearray(path.read_bytes())
+        offset = len(MAGIC) + 4 + 5 * 4 + 3 * 4 * model.n_layers  # version, header, layers
+        assert struct.unpack_from("<Id", blob, offset) == (1, 0.9)
+        struct.pack_into("<Id", blob, offset, has_mirror, decay)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError) as raised:
+            checkpoint_load(path)
+        assert str(raised.value) == f"{path}: corrupt checkpoint header: {message}"

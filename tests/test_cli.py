@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 
 import pytest
 
@@ -309,6 +310,24 @@ class TestEval:
         assert stdout == ""
         assert not eval_dir.exists()
 
+    def test_corrupt_mirror_header_is_data_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_cli(capsys, "train", "--out", str(run_dir), *SMALL)
+        ckpt = run_dir / "model.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        (n_layers,) = struct.unpack_from("<I", blob, 28)  # after magic, version, 4 shape fields
+        offset = 32 + 12 * n_layers
+        assert struct.unpack_from("<Id", blob, offset) == (1, 0.99)
+        struct.pack_into("<Id", blob, offset, 7, math.nan)
+        ckpt.write_bytes(bytes(blob))
+        eval_dir = tmp_path / "eval"
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--checkpoint", str(ckpt), "--out", str(eval_dir), *SMALL,
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr == f"error: {ckpt}: corrupt checkpoint header: has_mirror is 7, not 0 or 1\n"
+        assert not eval_dir.exists()
+
     def test_missing_checkpoint_is_data_error(self, tmp_path, capsys):
         code, _, _ = run_cli(
             capsys, "eval", "--checkpoint", str(tmp_path / "no.ckpt"),
@@ -441,6 +460,17 @@ class TestMalformedConfig:
             capsys, command, "--out", str(out), *extra, "--set", setting,
         )
         assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["train", "theorem"])
+    def test_config_file_not_utf8_names_file_and_line(self, tmp_path, capsys, command):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"# comment\r\nseed=1\nseed=\xff\n")
+        out = tmp_path / "fresh"
+        code, stdout, stderr = run_cli(capsys, command, "--config", str(config), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {config}:3: cannot decode b'\\xff' as utf-8\n"
         assert not out.exists()
 
 

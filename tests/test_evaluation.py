@@ -10,7 +10,6 @@ from wavebound import (
     Rng,
     evaluate,
     generalization_gap,
-    loss_slice,
     mlp_forward_batch,
     new_forecaster,
 )
@@ -215,50 +214,3 @@ class TestGeneralizationGap:
         with pytest.raises(ConfigError):
             generalization_gap(_FakeLog([]))
 
-
-class TestLossSlice:
-    def quadratic_setup(self):
-        # single identity layer: loss along any direction is exactly quadratic
-        params = linear_model([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], (2, 1), (2, 1))
-        rng = Rng(4)
-        past = rng.normal(size=(16, 2, 1))
-        future = rng.normal(size=(16, 2, 1))
-        return params, past, future
-
-    def test_center_matches_unperturbed(self):
-        params, past, future = self.quadratic_setup()
-        points = loss_slice(params, 0, 0.5, 5, past, future)
-        center = [loss for t, loss in points if t == 0.0]
-        assert len(center) == 1
-        assert center[0] == evaluate(params, past, future).mse
-
-    def test_grid_symmetric(self):
-        params, past, future = self.quadratic_setup()
-        ts = [t for t, _ in loss_slice(params, 0, 1.0, 7, past, future)]
-        assert ts[0] == -1.0 and ts[-1] == 1.0
-        assert all(a + b == 0.0 for a, b in zip(ts, ts[::-1]))
-
-    def test_quadratic_second_differences_constant(self):
-        params, past, future = self.quadratic_setup()
-        losses = np.array([l for _, l in loss_slice(params, 3, 0.8, 9, past, future)])
-        second = np.diff(losses, 2)
-        assert second.max() - second.min() <= 1e-6 * max(abs(second).max(), 1e-12)
-
-    def test_direction_seed_reproducible(self):
-        params, past, future = self.quadratic_setup()
-        a = loss_slice(params, 7, 0.5, 5, past, future)
-        b = loss_slice(params, 7, 0.5, 5, past, future)
-        assert a == b
-        c = loss_slice(params, 8, 0.5, 5, past, future)
-        assert a != c
-
-    def test_steps_validation(self):
-        params, past, future = self.quadratic_setup()
-        for bad in (2, 4, 1, 0, -3):
-            with pytest.raises(ConfigError):
-                loss_slice(params, 0, 0.5, bad, past, future)
-
-    def test_radius_validation(self):
-        params, past, future = self.quadratic_setup()
-        with pytest.raises(ConfigError):
-            loss_slice(params, 0, 0.0, 5, past, future)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,36 @@ class TestEarlyStopping:
         val_past, val_future = SETS[1]
         got = evaluate(result.params, val_past, val_future).mse
         assert got == result.log.records[result.best_epoch].val_mse
+
+
+class TestBestEpochSnapshot:
+    @pytest.mark.parametrize("eval_network,objective,lr,epochs", [
+        ("source", ObjectiveKind.plain(), 0.1, 6),
+        ("target", ObjectiveKind.wave_indiv(0.01), 0.03, 5),
+    ])
+    def test_snapshot_is_the_state_of_a_run_stopped_at_the_best_epoch(
+        self, eval_network, objective, lr, epochs
+    ):
+        # Adam and EMA update in place, so the snapshot must be a copy that
+        # later epochs leave alone.
+        cfg = make_config(
+            objective, learning_rate=lr, max_epochs=epochs, eval_network=eval_network
+        )
+        result = train(cfg, *SETS)
+        assert 0 < result.best_epoch < len(result.log.records) - 1
+        stopped = train(dataclasses.replace(cfg, max_epochs=result.best_epoch + 1), *SETS)
+        evaluated = stopped.final_source if eval_network == "source" else stopped.final_mirror.target
+        assert result.params.flat.tobytes() == evaluated.flat.tobytes()
+        assert result.mirror.target.flat.tobytes() == stopped.final_mirror.target.flat.tobytes()
+        assert (result.params is result.mirror.target) == (eval_network == "target")
+        assert result.final_source.flat.tobytes() != stopped.final_source.flat.tobytes()
+
+    def test_init_params_left_unchanged(self):
+        init = trainer_module.new_forecaster(L, M, K, 64, Rng(5))
+        before = init.flat.copy()
+        result = train(make_config(ObjectiveKind.wave_indiv(0.01)), *SETS, init_params=init)
+        assert init.flat.tobytes() == before.tobytes()
+        assert result.final_source.flat.tobytes() != before.tobytes()
 
 
 class TestLogExport:
