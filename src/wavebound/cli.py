@@ -45,7 +45,7 @@ from .errors import ConfigError, DataError, NumericError, WaveboundError
 from .evaluation import evaluate, generalization_gap
 from .objectives import ObjectiveKind
 from .theorem import LinearGaussianPopulation, OracleInstance, run_full_oracle
-from .trainer import SWEEP_PARAMS, TrainConfig, sweep, train
+from .trainer import SWEEP_PARAMS, TrainConfig, sweep, sweep_configs, train
 
 
 def _boolean(text: str) -> bool:
@@ -201,14 +201,46 @@ def _outputs(out_dir, text: dict[str, str]):
             _write_text(os.path.join(stage, "resolved_config.txt"),
                         "".join(f"{key}={text[key]}\n" for key in sorted(text)))
             yield lambda name: os.path.join(stage, name)
-            moves = [(os.path.join(stage, n), os.path.join(out_dir, n)) for n in sorted(os.listdir(stage))]
-            for _, target in moves:
-                if os.path.isdir(target):
-                    raise DataError(f"cannot write {target}: it is a directory")
-            for staged, target in moves:
-                os.replace(staged, target)
+            _commit(stage, out_dir)
         finally:
             shutil.rmtree(stage, ignore_errors=True)
+
+
+def _commit(stage, out_dir) -> None:
+    """Move every file of the stage into out_dir, all or none.
+
+    Each file that a move will replace is first hard-linked (or, where links
+    are refused, copied) into `stage/.backup`.  If a move fails, the files
+    already moved are put back, each to its backup or, if it is new, away,
+    and the error is raised: out_dir holds exactly what it held before.
+    """
+    moves = [(os.path.join(stage, n), os.path.join(out_dir, n)) for n in sorted(os.listdir(stage))]
+    for _, target in moves:
+        if os.path.isdir(target):
+            raise DataError(f"cannot write {target}: it is a directory")
+    backups = os.path.join(stage, ".backup")
+    os.mkdir(backups)
+    saved = {}
+    for _, target in moves:
+        if os.path.lexists(target):
+            saved[target] = os.path.join(backups, os.path.basename(target))
+            try:
+                os.link(target, saved[target], follow_symlinks=False)
+            except OSError:
+                shutil.copy2(target, saved[target], follow_symlinks=False)
+    done = []
+    try:
+        for staged, target in moves:
+            os.replace(staged, target)
+            done.append(target)
+    except BaseException:
+        for target in reversed(done):
+            with contextlib.suppress(OSError):
+                if target in saved:
+                    os.replace(saved[target], target)
+                else:
+                    os.unlink(target)
+        raise
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -325,6 +357,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
     config = _train_config(cfg)
+    sweep_configs(config, args.param, values, args.workers)  # a bad grid fails before any data
     with _outputs(args.out, text) as path:
         started = time.perf_counter()
         rows = sweep(config, args.param, values, *_prepare_data(cfg), workers=args.workers)

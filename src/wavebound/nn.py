@@ -17,13 +17,15 @@ the checkpoint payload share this layout, so each is a single array.
 Elementwise passes over that buffer (the Adam and EMA updates) walk it in
 `blocks` of BLOCK elements, so each block's operands stay in L2 cache.
 
-All functions are pure: they never mutate their arguments.  The forward
-pass applies each layer's bias and activation in place on the fresh matmul
-result, so a layer costs one allocation.  The public `mlp_forward_batch`
-and `mlp_backward_batch` check their inputs and then run the unchecked
-`_forward_flat` and `_backward_from`; the trainer, which checks its window
-sets once, calls those two directly and backpropagates through the hidden
-states of the forward it has already made.
+The public functions are pure: they never mutate their arguments.  The
+forward pass applies each layer's bias and activation in place on the fresh
+matmul result, so a layer costs one allocation.  The public
+`mlp_forward_batch` and `mlp_backward_batch` check their inputs and then
+run the unchecked `_forward_flat` and `_backward_from`.  `_backward_from`
+writes the gradient into a buffer its caller passes in and owns:
+`mlp_backward_batch` passes a fresh one per call, and the trainer, which
+checks its window sets once, passes the same one at every step and
+backpropagates through the hidden states of the forward it has already made.
 """
 
 from __future__ import annotations
@@ -165,10 +167,15 @@ def new_forecaster(
 def _times_activate_grad(name: str, delta: np.ndarray, h: np.ndarray) -> np.ndarray:
     """delta times the activation's derivative, expressed through its output h.
 
-    The identity's derivative is 1 and x * 1.0 == x exactly, so delta passes
-    through unchanged.
+    The product is written into `delta`, which must be the caller's own
+    array.  The identity's derivative is 1 and x * 1.0 == x exactly, so
+    delta is returned unchanged.
     """
-    return delta * (1.0 - h * h) if name == "tanh" else delta
+    if name == "tanh":
+        slope = h * h
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(delta, slope, out=delta)
+    return delta
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -202,23 +209,27 @@ def _forward_flat(params: ModelParams, flat: np.ndarray) -> list[np.ndarray]:
     return states
 
 
-def _backward_from(params: ModelParams, states: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
-    """Flat gradient of sum_i <upstream_i, states[-1]_i>, unchecked.
+def _backward_from(
+    params: ModelParams, states: list[np.ndarray], upstream: np.ndarray, grads: ModelParams
+) -> np.ndarray:
+    """Flat gradient of sum_i <upstream_i, states[-1]_i>, unchecked, into `grads`.
 
     `states` is `_forward_flat(params, ...)`'s list and `upstream` an
-    (n, M*K) array; callers have checked both.
+    (n, M*K) array; callers have checked both.  `grads` has params'
+    geometry; every entry of its buffer is overwritten, and `grads.flat` is
+    returned.  Neither `states` nor `upstream` is changed.
     """
-    delta = _times_activate_grad(params.activations[-1], upstream, states[-1])
-    grad = np.empty_like(params.flat)
-    views = params.with_flat(grad)
+    delta = upstream
+    if params.activations[-1] != "identity":
+        delta = _times_activate_grad(params.activations[-1], upstream.copy(), states[-1])
     for i in range(params.n_layers - 1, -1, -1):
-        np.sum(delta, axis=0, out=views.biases[i])
-        np.matmul(delta.T, states[i], out=views.weights[i])
+        np.add.reduce(delta, axis=0, out=grads.biases[i])
+        np.matmul(delta.T, states[i], out=grads.weights[i])
         if i > 0:
             delta = _times_activate_grad(
                 params.activations[i - 1], delta @ params.weights[i], states[i]
             )
-    return grad
+    return grads.flat
 
 
 def mlp_forward_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -248,4 +259,5 @@ def mlp_backward_batch(
     if not np.isfinite(upstream).all():
         raise ConfigError("upstream contains non-finite values")
     states = _forward_flat(params, inputs.reshape(n, -1))
-    return _backward_from(params, states, upstream.reshape(n, -1))
+    grads = params.with_flat(np.empty_like(params.flat))
+    return _backward_from(params, states, upstream.reshape(n, -1), grads)

@@ -26,7 +26,11 @@ clamped.
 
 Gradient handling reduces to a sign mask: the derivative of each objective
 w.r.t. r_jk is +1 when A sits at or above beta (descent) and -1 below it
-(ascent).  Exact ties resolve to +1.
+(ascent).  Exact ties resolve to +1.  One `_fold` yields both the value and
+this descent pattern (`_value_and_descent`); `objective_value`,
+`objective_mask` and the trainer's step all read them from there, and the
+risk matrix of an error array comes from `_risk`, which `per_element_risk`
+and the step share.
 """
 
 from __future__ import annotations
@@ -104,7 +108,15 @@ class RiskMatrix:
 
     @property
     def mean(self) -> float:
-        return float(self.values.mean())
+        # The sum and divide of ndarray.mean, without its Python wrapper.
+        return float(np.add.reduce(self.values, axis=None) / self.values.size)
+
+
+def _risk(err: np.ndarray) -> RiskMatrix:
+    """RiskMatrix of an unchecked (N, M, K) error array, bit for bit (err * err).mean(axis=0)."""
+    sums = np.add.reduce(err * err, axis=0)
+    sums /= err.shape[0]
+    return RiskMatrix(sums)
 
 
 def per_element_risk(pred: np.ndarray, target: np.ndarray) -> RiskMatrix:
@@ -115,14 +127,18 @@ def per_element_risk(pred: np.ndarray, target: np.ndarray) -> RiskMatrix:
         raise ConfigError(f"pred shape {pred.shape} != target shape {target.shape}")
     if pred.ndim != 3 or pred.shape[0] < 1:
         raise ConfigError(f"expected (N, M, K) with N >= 1, got {pred.shape}")
-    err = pred - target
-    return RiskMatrix((err * err).mean(axis=0))
+    return _risk(pred - target)
+
+
+def _flood(values, bound, descent):
+    """The flooded values, given the descent pattern values >= bound."""
+    return np.where(descent, values, 2.0 * np.asarray(bound) - values)
 
 
 def flood_elementwise(values: np.ndarray, bound) -> np.ndarray:
     """|v - bound| + bound, piecewise: v at or above the bound, 2*bound - v below."""
     values = np.asarray(values, dtype=np.float64)
-    return np.where(values >= bound, values, 2.0 * np.asarray(bound) - values)
+    return _flood(values, bound, values >= bound)
 
 
 def wave_elementwise(source_values: np.ndarray, target_values: np.ndarray, epsilon: float) -> np.ndarray:
@@ -159,12 +175,28 @@ def _fold(kind: ObjectiveKind, source: RiskMatrix, target: RiskMatrix | None):
     return source.values, target.values - kind.epsilon
 
 
+def _value_and_descent(kind: ObjectiveKind, source: RiskMatrix, target: RiskMatrix | None):
+    """(objective value, descent pattern A >= beta) from one `_fold`.
+
+    The pattern is a numpy bool, or an (M, K) bool matrix for an
+    element-wise fold.
+    """
+    folded, bound = _fold(kind, source, target)
+    descent = np.greater_equal(folded, bound)
+    flooded = _flood(folded, bound, descent)
+    return float(np.add.reduce(flooded, axis=None) / flooded.size), descent
+
+
+def _signs(descent) -> np.ndarray:
+    """+1.0 where the pattern descends, -1.0 where it ascends."""
+    return np.where(descent, 1.0, -1.0)
+
+
 def objective_value(
     kind: ObjectiveKind, source: RiskMatrix, target: RiskMatrix | None = None
 ) -> float:
     """Scalar training objective for one batch."""
-    folded, bound = _fold(kind, source, target)
-    return float(flood_elementwise(folded, bound).mean())
+    return _value_and_descent(kind, source, target)[0]
 
 
 def objective_mask(
@@ -174,5 +206,5 @@ def objective_mask(
 
     A scalar fold (flooding, wave_avg) gives every element the same sign.
     """
-    folded, bound = _fold(kind, source, target)
-    return np.full(source.values.shape, np.where(folded >= bound, 1.0, -1.0))
+    descent = _value_and_descent(kind, source, target)[1]
+    return _signs(np.broadcast_to(descent, source.values.shape))

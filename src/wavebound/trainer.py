@@ -1,19 +1,25 @@
 """Mini-batched training loop for all risk objectives, with early stopping.
 
-Each iteration: forward the source network on a batch; for bound-based
-objectives, forward the frozen target network on the same batch; reduce to
-per-element risks; turn the objective's derivative w.r.t. each risk entry
-into a +-1 sign mask; push mask * 2*(pred - future)/(N*M*K) through manual
-backprop, starting from the hidden states of the source forward already
-made; take one Adam step; then fold the new source parameters into the
-exponential-moving-average target.  The optimizer step always precedes the
-EMA update.
+Each iteration, on a batch of n windows with (M, K) outputs:
 
-Both updates write in place, so the source, its Adam moments and the target
-each keep one buffer for the whole run.  `train` is the only code that
-keeps earlier state: it allocates the best-epoch snapshot once, as copies of
-the initial networks, and refreshes it with `np.copyto` at every epoch whose
-validation MSE improves.
+1. forward the source network and form the error err = pred - future once;
+2. reduce err to the per-element risks r; for the bound objectives, forward
+   the target network on the same batch and reduce its error the same way;
+3. fold r against the bound once, which gives both the objective value and
+   the descent pattern (see `objectives`);
+4. turn err, in place, into the upstream gradient 2*err/(n*M*K), and
+   multiply it by the +-1 sign mask only when some element is in ascent
+   (multiplying by +1.0 is exact, so skipping it keeps the bits);
+5. backpropagate it through the hidden states of the source forward;
+6. take one Adam step, then fold the new source parameters into the
+   exponential-moving-average target.  The optimizer step always precedes
+   the EMA update.
+
+Every update writes in place, so the source, its Adam moments, the target
+and the gradient each keep one buffer for the whole run.  `train` is the
+only code that keeps earlier state: it allocates the best-epoch snapshot
+once, as copies of the initial networks, and refreshes it with `np.copyto`
+at every epoch whose validation MSE improves.
 
 A single gradient path serves every objective (they differ only in the
 mask), so trajectories that are mathematically equal (e.g. flood level 0 vs
@@ -25,6 +31,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,10 +44,12 @@ from .errors import ConfigError, NumericError
 from .evaluation import evaluate
 from .nn import ModelParams, _backward_from, _forward_flat, new_forecaster
 
-# Not called here (`train` runs the unchecked forward and backward), but
-# perfbench/tracing.py wraps these names in this module, so they stay bound.
+# Not called here (`train` runs the unchecked forward, backward, risk and
+# fold), but perfbench/tracing.py wraps these names in this module, so they
+# stay bound.
 from .nn import mlp_backward_batch, mlp_forward_batch  # noqa: F401
-from .objectives import ObjectiveKind, RiskMatrix, objective_mask, objective_value, per_element_risk
+from .objectives import ObjectiveKind, RiskMatrix, _risk, _signs, _value_and_descent
+from .objectives import objective_mask, objective_value, per_element_risk  # noqa: F401
 from .rng import Rng
 
 EVAL_NETWORKS = ("source", "target")
@@ -186,11 +195,13 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
         params = init_params.copy()
     mirror = ema_init(params, config.ema_decay)
     adam_state = adam_init(params)
+    grads = params.with_flat(np.empty_like(params.flat))
     log = TrainLog()
 
     frozen_risk = None
     if config.frozen_target_risk is not None:
         frozen_risk = RiskMatrix(np.full((config.output_len, n_features), config.frozen_target_risk))
+    target_forward = config.objective.needs_target and frozen_risk is None
 
     best_mirror = EmaMirror(mirror.target.copy(), mirror.decay)
     best_params = params.copy() if config.eval_network == "source" else best_mirror.target
@@ -210,22 +221,23 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
             x = train_past[idx].reshape(n, -1)
             y = train_future[idx]
             states = _forward_flat(params, x)
-            pred = states[-1].reshape(y.shape)
-            risk = per_element_risk(pred, y)
+            err = states[-1].reshape(y.shape) - y
+            risk = _risk(err)
             target_risk = frozen_risk
-            if config.objective.needs_target and frozen_risk is None:
-                target_pred = _forward_flat(mirror.target, x)[-1].reshape(y.shape)
-                target_risk = per_element_risk(target_pred, y)
-            value = objective_value(config.objective, risk, target_risk)
-            if not np.isfinite(value):
+            if target_forward:
+                target_err = _forward_flat(mirror.target, x)[-1].reshape(y.shape)
+                target_err -= y
+                target_risk = _risk(target_err)
+            value, descent = _value_and_descent(config.objective, risk, target_risk)
+            if not math.isfinite(value):
                 raise NumericError(f"non-finite objective {value!r} at iteration {adam_state.step_count}")
-            mask = objective_mask(config.objective, risk, target_risk)
-            upstream = mask[None, :, :] * (
-                2.0 * (pred - y) / (n * config.output_len * n_features)
-            )
-            grads = _backward_from(params, states, upstream.reshape(n, -1))
+            err *= 2.0
+            err /= n * config.output_len * n_features
+            if not descent.all():
+                err *= _signs(descent)
+            _backward_from(params, states, err.reshape(n, -1), grads)
             try:
-                adam_step(params, grads, adam_state, config.learning_rate)
+                adam_step(params, grads.flat, adam_state, config.learning_rate)
             except NumericError as exc:
                 raise NumericError(f"{exc} (iteration {adam_state.step_count})") from None
             ema_update(mirror, params)
@@ -306,6 +318,20 @@ def _sweep_point(args) -> TrainResult:
     return train(config, train_set, val_set, test_set)
 
 
+def sweep_configs(config: TrainConfig, param: str, values, workers: int = 1) -> list[TrainConfig]:
+    """The checked config of every grid value; no data is needed to check a grid.
+
+    Raises ConfigError for an empty grid, a value the config rejects, a
+    parameter the objective lacks, or fewer than one worker.
+    """
+    values = list(values)
+    if not values:
+        raise ConfigError("sweep grid must be non-empty")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
+    return [_config_with(config, param, v) for v in values]
+
+
 def sweep(
     config: TrainConfig,
     param: str,
@@ -317,11 +343,7 @@ def sweep(
 ) -> list[SweepRow]:
     """One full train per grid value, same seed; rows ranked by val MSE."""
     values = list(values)
-    if not values:
-        raise ConfigError("sweep grid must be non-empty")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    configs = [_config_with(config, param, v) for v in values]
+    configs = sweep_configs(config, param, values, workers)
     jobs = [(c, train_set, val_set, test_set) for c in configs]
     if workers == 1:
         results = [_sweep_point(j) for j in jobs]

@@ -579,3 +579,73 @@ class TestAllOrNothingOutputs:
         assert code == 3
         assert "injected write failure" in stderr
         assert read_dir(out) == {"metrics.csv": b"split,mse,mae,samples\nold,1.0,1.0,1\n"}
+
+
+TRAIN_OUTPUTS = 7  # resolved_config.txt, two logs, the gap, metrics, per-step MSE, checkpoint
+
+
+class TestFailedCommitMove:
+    """A failed move into --out puts back what the earlier moves replaced."""
+
+    @staticmethod
+    def _fail_move(monkeypatch, out, k):
+        real = os.replace
+        moves = []
+
+        def replace(src, dst, *args, **kwargs):
+            src, dst = os.fspath(src), os.fspath(dst)
+            staged = os.path.basename(os.path.dirname(src)).startswith(".partial-")
+            if staged and os.path.dirname(dst) == os.fspath(out):
+                moves.append(dst)
+                if len(moves) == k + 1:
+                    raise OSError(28, "No space left on device")
+            return real(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        return moves
+
+    @pytest.mark.parametrize("k", range(TRAIN_OUTPUTS))
+    def test_into_a_fresh_out(self, tmp_path, capsys, monkeypatch, k):
+        out = tmp_path / "fresh" / "run"
+        moves = self._fail_move(monkeypatch, out, k)
+        code, _, stderr = run_cli(capsys, "train", "--out", str(out), *SMALL)
+        assert (code, len(moves)) == (3, k + 1)
+        assert "No space left on device" in stderr
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("links", ["linked", "copied"])
+    @pytest.mark.parametrize("k", range(TRAIN_OUTPUTS))
+    def test_into_an_out_with_an_earlier_run(self, tmp_path, capsys, monkeypatch, k, links):
+        if links == "copied":  # a file system that refuses hard links
+            monkeypatch.setattr(os, "link", _fail)
+        out = tmp_path / "run"
+        assert run_cli(capsys, "train", "--out", str(out), "--set", "seed=1", *SMALL)[0] == 0
+        # Two outputs of this run are new, the others replace the earlier run's.
+        os.remove(out / "metrics.csv")
+        os.remove(out / "train_log.csv")
+        (out / "notes.txt").write_bytes(b"kept\n")
+        before = read_dir(out)
+        moves = self._fail_move(monkeypatch, out, k)
+        code, _, stderr = run_cli(capsys, "train", "--out", str(out), "--set", "seed=2", *SMALL)
+        assert (code, len(moves)) == (3, k + 1)
+        assert "No space left on device" in stderr
+        assert read_dir(out) == before
+
+
+class TestSweepGridCheckedFirst:
+    """A bad grid or worker count exits 2 before any data is read or --out made."""
+
+    @pytest.mark.parametrize("args", [
+        ["--param", "b", "--values", "0.1", "--set", "objective=plain"],
+        ["--param", "epsilon", "--values", "0.1", "--set", "objective=flooding"],
+        ["--param", "learning_rate", "--values", "0.001,-1"],
+        ["--param", "learning_rate", "--values", "0.001", "--workers", "0"],
+    ], ids=["b-on-plain", "epsilon-on-flooding", "negative-rate", "no-workers"])
+    def test_fails_before_the_data(self, tmp_path, capsys, monkeypatch, args):
+        loads = []
+        monkeypatch.setattr("wavebound.cli._prepare_data", lambda cfg: loads.append(cfg))
+        out = tmp_path / "sweep"
+        code, stdout, stderr = run_cli(capsys, "sweep", "--out", str(out), *args, *SMALL)
+        assert (code, stdout, loads) == (2, "", [])
+        assert stderr.startswith("error: ")
+        assert not out.exists()

@@ -233,7 +233,7 @@ def test_backward_from_forward_states_is_bit_identical(hidden, n):
     x = rng.normal(size=(n, 12, 2))
     upstream = rng.normal(size=(n, 6, 2))
     states = _forward_flat(model, x.reshape(n, -1))
-    got = _backward_from(model, states, upstream.reshape(n, -1))
+    got = _backward_from(model, states, upstream.reshape(n, -1), model.copy())
     want = recomputing_backward(model, x, upstream)
     assert got.tobytes() == want.tobytes()
     assert got.tobytes() == mlp_backward_batch(model, x, upstream).tobytes()
@@ -246,6 +246,21 @@ def test_backward_from_leaves_its_arguments_alone():
     upstream = rng.normal(size=(4, 3))
     states = _forward_flat(model, x)
     before = [s.copy() for s in states], upstream.copy(), model.flat.copy()
-    _backward_from(model, states, upstream)
+    _backward_from(model, states, upstream, model.copy())
     assert all(np.array_equal(a, b) for a, b in zip(before[0], states))
     assert np.array_equal(before[1], upstream) and np.array_equal(before[2], model.flat)
+
+
+@pytest.mark.parametrize("output_act", ["identity", "tanh"])
+def test_backward_from_overwrites_every_entry_of_its_buffer(output_act):
+    rng = Rng(10)
+    base = new_forecaster(5, 3, 2, 6, rng.split("init"))
+    model = ModelParams(base.weights, base.biases, ("tanh", "tanh", output_act), (5, 2), (3, 2))
+    x = rng.normal(size=(4, 10))
+    upstream = rng.normal(size=(4, 6))
+    states = _forward_flat(model, x)
+    stale = model.with_flat(np.full_like(model.flat, np.nan))
+    got = _backward_from(model, states, upstream, stale)
+    assert got is stale.flat
+    want = mlp_backward_batch(model, x.reshape(4, 5, 2), upstream.reshape(4, 3, 2))
+    assert got.tobytes() == want.tobytes()
