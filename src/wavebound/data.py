@@ -9,7 +9,8 @@ and an (n, M, K) `future` array, copied out of a single
 future[i] = segment[i+L : i+L+M].  Splits are chronological, applied to the
 raw series before windowing, so windows never cross a split boundary.
 Standardization statistics come from the train segment alone and are shared
-by the validation and test segments.  Every file the package writes goes
+by the validation and test segments.  `checked_windows` decides whether a
+stacked window set fits a model.  Every file the package writes goes
 through `atomic_open`, so no failed write leaves a partial file at its path.
 """
 
@@ -376,6 +377,29 @@ def windowize(segment: SeriesDataset, input_len: int, output_len: int) -> Window
     # (n, K, span) view of the segment, transposed to (n, span, K)
     view = sliding_window_view(values, span, axis=0).transpose(0, 2, 1)
     return WindowSet(view[:, :input_len].copy(), view[:, input_len:].copy())
+
+
+def checked_windows(name, past, future, input_shape, output_shape) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 (past, future) of a window set; the one check that a model can use it.
+
+    past must be (n, *input_shape) and future (n, *output_shape), all finite;
+    otherwise a ConfigError names the set.  An empty set is a DataError.
+    """
+    past = np.asarray(past, dtype=np.float64)
+    future = np.asarray(future, dtype=np.float64)
+    if past.ndim != 3 or future.ndim != 3 or past.shape[0] != future.shape[0]:
+        raise ConfigError(f"{name} set shapes {past.shape}/{future.shape} are not (n, steps, K)")
+    if past.shape[0] < 1:
+        raise DataError(f"{name} set is empty")
+    want = (tuple(input_shape), tuple(output_shape))
+    if (past.shape[1:], future.shape[1:]) != want:
+        raise ConfigError(
+            f"{name} set window lengths and features {past.shape[1:]}/{future.shape[1:]} "
+            f"do not match {want[0]}/{want[1]}"
+        )
+    if not (np.isfinite(past).all() and np.isfinite(future).all()):
+        raise ConfigError(f"{name} set contains non-finite values")
+    return past, future
 
 
 def stack_windows(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
 """Forecast metrics.
 
-Everything here is read-only over immutable params and window tensors.
+Nothing here writes to the params or window tensors it is given.
 Squared-error metrics decompose per (horizon step, feature); the grand mean
 of the per-element matrix is the reported MSE, and the per-step curve is its
 mean over features.
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .nn import ModelParams, _check_finite, _check_shape, _forward_flat
+from .data import checked_windows
+from .errors import ConfigError
+from .nn import ModelParams, _forward_flat
 
 # Windows per chunk of `evaluate`.
 CHUNK = 512
@@ -31,9 +32,10 @@ class MetricRecord:
 def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> MetricRecord:
     """Average squared and absolute error of params over a window set.
 
-    The windows are forwarded CHUNK at a time, so the temporaries stay a
-    chunk in size; only |err| is kept for the whole set.  The results are
-    bit for bit those of one forward over the whole set:
+    `checked_windows` checks the whole set, as the "evaluation set", before
+    the first chunk.  The windows are then forwarded CHUNK at a time, so the
+    temporaries stay a chunk in size; only |err| is kept for the whole set.
+    The results are bit for bit those of one forward over the whole set:
 
     - squared errors go into rows 1.. of a scratch array whose row 0 holds
       the running total, and one reduction over its rows continues that
@@ -46,22 +48,9 @@ def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> Metri
       chunk is forwarded over the last CHUNK windows and keeps only its
       new rows.
     """
-    past = np.asarray(past, dtype=np.float64)
-    future = np.asarray(future, dtype=np.float64)
-    if past.ndim != 3 or future.ndim != 3 or past.shape[0] != future.shape[0]:
-        raise ConfigError(
-            f"expected (n, L, K) past and (n, M, K) future, got {past.shape} and {future.shape}"
-        )
-    if future.shape[1:] != params.output_shape:
-        raise ConfigError(
-            f"future windows of shape {future.shape[1:]} do not match the model's "
-            f"output shape {params.output_shape}"
-        )
+    shapes = params.input_shape, params.output_shape
+    past, future = checked_windows("evaluation", past, future, *shapes)
     n = past.shape[0]
-    if n < 1:
-        raise DataError("empty window set")
-    _check_shape(params, past)
-
     width = future.shape[1] * future.shape[2]
     rows = np.zeros((min(n, CHUNK) + 1, width))
     abs_err = np.empty((n, width))
@@ -69,9 +58,8 @@ def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> Metri
         stop = min(start + CHUNK, n)
         count = stop - start
         first = start if start == 0 or count == CHUNK else stop - CHUNK
-        chunk = past[first:stop]
-        _check_finite(chunk)
-        err = _forward_flat(params, chunk.reshape(stop - first, -1))[-1][start - first :]
+        chunk = past[first:stop].reshape(stop - first, -1)
+        err = _forward_flat(params, chunk)[-1][start - first :]
         err -= future[start:stop].reshape(count, width)
         np.abs(err, out=abs_err[start:stop])
         np.multiply(err, err, out=rows[1 : count + 1])

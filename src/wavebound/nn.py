@@ -23,9 +23,10 @@ matmul result, so a layer costs one allocation.  The public
 `mlp_forward_batch` and `mlp_backward_batch` check their inputs and then
 run the unchecked `_forward_flat` and `_backward_from`.  `_backward_from`
 writes the gradient into a buffer its caller passes in and owns:
-`mlp_backward_batch` passes a fresh one per call, and the trainer, which
-checks its window sets once, passes the same one at every step and
-backpropagates through the hidden states of the forward it has already made.
+`mlp_backward_batch` passes a fresh one per call, and the trainer, whose
+window sets `data.checked_windows` has checked once, passes the same one at
+every step and backpropagates through the hidden states of the forward it
+has already made.
 """
 
 from __future__ import annotations
@@ -178,21 +179,13 @@ def _times_activate_grad(name: str, delta: np.ndarray, h: np.ndarray) -> np.ndar
     return delta
 
 
-def _check_finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
-        raise ConfigError("input contains non-finite values")
-
-
-def _check_shape(params: ModelParams, x: np.ndarray) -> None:
+def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
     want = params.input_shape
     if x.ndim != 3 or x.shape[1:] != want:
         raise ConfigError(f"expected batched input (n, {want[0]}, {want[1]}), got {x.shape}")
-
-
-def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    _check_shape(params, x)
-    _check_finite(x)
+    if not np.isfinite(x).all():
+        raise ConfigError("input contains non-finite values")
     return x
 
 

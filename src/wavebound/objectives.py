@@ -30,7 +30,8 @@ w.r.t. r_jk is +1 when A sits at or above beta (descent) and -1 below it
 this descent pattern (`_value_and_descent`); `objective_value`,
 `objective_mask` and the trainer's step all read them from there, and the
 risk matrix of an error array comes from `_risk`, which `per_element_risk`
-and the step share.
+and the step share; its arithmetic, `_mean_squares`, also scores the oracle's
+trials in `theorem`.
 """
 
 from __future__ import annotations
@@ -112,11 +113,16 @@ class RiskMatrix:
         return float(np.add.reduce(self.values, axis=None) / self.values.size)
 
 
+def _mean_squares(err: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Mean of err * err along axis, bit for bit (err * err).mean(axis): its sum and divide."""
+    sums = np.add.reduce(err * err, axis=axis)
+    sums /= err.shape[axis]
+    return sums
+
+
 def _risk(err: np.ndarray) -> RiskMatrix:
-    """RiskMatrix of an unchecked (N, M, K) error array, bit for bit (err * err).mean(axis=0)."""
-    sums = np.add.reduce(err * err, axis=0)
-    sums /= err.shape[0]
-    return RiskMatrix(sums)
+    """RiskMatrix of an unchecked (N, M, K) error array: its mean squares over N."""
+    return RiskMatrix(_mean_squares(err))
 
 
 def per_element_risk(pred: np.ndarray, target: np.ndarray) -> RiskMatrix:

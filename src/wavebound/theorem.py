@@ -36,7 +36,7 @@ import numpy as np
 
 from .data import atomic_open, batch_indices
 from .errors import ConfigError
-from .objectives import flood_elementwise, wave_elementwise
+from .objectives import _mean_squares, flood_elementwise, wave_elementwise
 from .rng import Rng
 
 CHUNK = 128  # oracle trials scored together: bounds the working set, not the streams
@@ -78,12 +78,19 @@ class LinearGaussianPopulation:
         return self.true_map.shape
 
 
+def _joint(population: LinearGaussianPopulation, x: np.ndarray, z: np.ndarray) -> None:
+    """Standard normals to a joint sample in place: x *= input_std, z = true_map*x + noise_std*z."""
+    x *= population.input_std
+    z *= population.noise_std
+    z += population.true_map * x
+
+
 def sample(population: LinearGaussianPopulation, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Draw n joint samples; returns x and y, both (n, M, K)."""
     m, k = population.shape
-    x = population.input_std * rng.normal(size=(n, m, k))
-    z = rng.normal(size=(n, m, k))
-    y = population.true_map[None] * x + population.noise_std[None] * z
+    x = rng.normal(size=(n, m, k))
+    y = rng.normal(size=(n, m, k))
+    _joint(population, x, y)
     return x, y
 
 
@@ -172,12 +179,6 @@ class OracleReport:
         return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
 
 
-def _elementwise_risks(pred: np.ndarray, y: np.ndarray, axis: int = 0) -> np.ndarray:
-    err = pred - y
-    err *= err
-    return err.mean(axis=axis)
-
-
 def _squares(values: np.ndarray) -> list[float]:
     """v ** 2 by libm's pow(), as a float64 scalar squares; an array's ** 2 is v * v.
 
@@ -216,12 +217,10 @@ def run_estimator_experiment(instance: OracleInstance) -> OracleReport:
         draws = rng.split_normals("trial", range(lo, hi), 2 * n * m * k)
         draws = draws.reshape(hi - lo, 2, n, m, k)
         x, y = draws[:, 0], draws[:, 1]  # views: y holds the noise z until it is scaled
-        x *= pop.input_std  # in place, so one chunk holds one copy of its draws
-        y *= pop.noise_std
-        y += pop.true_map * x  # true_map * x + noise_std * z, as `sample` sums it
+        _joint(pop, x, y)  # in place, so one chunk holds one copy of its draws
         # (chunk, M*K): a row mean sums the M*K risks as a trial's .mean() does
-        risk_g = _elementwise_risks(predict(instance.g, x), y, axis=1).reshape(hi - lo, -1)
-        risk_gs = _elementwise_risks(predict(instance.g_star, x), y, axis=1).reshape(hi - lo, -1)
+        risk_g = _mean_squares(predict(instance.g, x) - y, axis=1).reshape(hi - lo, -1)
+        risk_gs = _mean_squares(predict(instance.g_star, x) - y, axis=1).reshape(hi - lo, -1)
         wave = wave_elementwise(risk_g, risk_gs, eps)
         d_plain[lo:hi] = _squares(risk_g.mean(axis=1) - truth)
         d_wave[lo:hi] = _squares(wave.mean(axis=1) - truth)
@@ -284,8 +283,8 @@ def jensen_violations(
     start = 0
     for size in sizes:
         stop = start + size
-        src.append(_elementwise_risks(source_pred[start:stop], targets[start:stop]))
-        tgt.append(_elementwise_risks(target_pred[start:stop], targets[start:stop]))
+        src.append(_mean_squares(source_pred[start:stop] - targets[start:stop]))
+        tgt.append(_mean_squares(target_pred[start:stop] - targets[start:stop]))
         start = stop
     src = np.stack(src)  # (T, M, K)
     tgt = np.stack(tgt)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adam import adam_init, adam_step
-from .data import atomic_open, batch_indices, write_rows
+from .data import atomic_open, batch_indices, checked_windows, write_rows
 from .ema import EmaMirror, ema_init, ema_update
 from .errors import ConfigError, NumericError
 from .evaluation import evaluate
@@ -151,34 +151,21 @@ class TrainResult:
     final_mirror: EmaMirror
 
 
-def _window_set(name: str, window_set, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Checked float64 (past, future) arrays of one stacked window set.
-
-    They are checked here once, finite values included, so the steps skip
-    the public forward and backward's per-call checks.
-    """
-    if not isinstance(window_set, tuple):
-        raise ConfigError(f"{name} set must be a stacked (past, future) tuple")
-    past, future = (np.asarray(a, dtype=np.float64) for a in window_set)
-    if past.shape[0] < 1:
-        raise ConfigError(f"{name} set is empty")
-    if past.ndim != 3 or future.ndim != 3 or past.shape[0] != future.shape[0]:
-        raise ConfigError(f"{name} set shapes {past.shape}/{future.shape} are not (n, steps, K)")
-    if past.shape[1] != config.input_len or future.shape[1] != config.output_len:
-        raise ConfigError(
-            f"{name} set window lengths {past.shape[1]}/{future.shape[1]} do not match "
-            f"config {config.input_len}/{config.output_len}"
-        )
-    if not (np.isfinite(past).all() and np.isfinite(future).all()):
-        raise ConfigError(f"{name} set contains non-finite values")
-    return past, future
-
-
 def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelParams | None = None) -> TrainResult:
-    """Run the loop; return best-validation parameters, mirror, and log."""
-    train_past, train_future = _window_set("train", train_set, config)
-    val_past, val_future = _window_set("validation", val_set, config)
-    test_past, test_future = _window_set("test", test_set, config)
+    """Run the loop; return best-validation parameters, mirror, and log.
+
+    The three stacked (past, future) sets are checked once, by `checked_windows`,
+    so the steps skip the public forward and backward's per-call checks.
+    """
+    for name, window_set in (("train", train_set), ("validation", val_set), ("test", test_set)):
+        if not isinstance(window_set, tuple) or len(window_set) != 2:
+            raise ConfigError(f"{name} set must be a stacked (past, future) tuple")
+    # K is read off the train past; a past that is not (n, L, K) fails the check.
+    k = np.shape(train_set[0])[-1:]
+    shapes = (config.input_len, *k), (config.output_len, *k)
+    train_past, train_future = checked_windows("train", *train_set, *shapes)
+    val_past, val_future = checked_windows("validation", *val_set, *shapes)
+    test_past, test_future = checked_windows("test", *test_set, *shapes)
     n_features = train_past.shape[2]
 
     rng = Rng(config.seed)

@@ -7,20 +7,25 @@ import pytest
 from wavebound import (
     ConfigError,
     DataError,
+    ObjectiveKind,
     Rng,
     SeriesDataset,
     SplitSpec,
+    TrainConfig,
     batch_indices,
+    evaluate,
     load_csv,
+    new_forecaster,
     save_csv,
     select_feature,
     split_and_standardize,
     stack_windows,
     synth_series,
+    train,
     windowize,
 )
 from wavebound import data
-from wavebound.data import write_rows
+from wavebound.data import checked_windows, write_rows
 
 
 class TestSynthSeries:
@@ -298,6 +303,30 @@ class TestWindowize:
             empty = windowize(self.segment(3), 4, 2)
         with pytest.raises(DataError, match="empty window set"):
             stack_windows(empty)
+
+    def test_empty_set_is_a_data_error_everywhere(self):
+        with pytest.warns(UserWarning, match="no windows"):
+            empty = windowize(self.segment(3), 4, 2)
+        full = stack_windows(windowize(self.segment(20), 4, 2))
+        with pytest.raises(DataError, match="^empty window set$"):
+            stack_windows(empty)
+        with pytest.raises(DataError, match="^evaluation set is empty$"):
+            evaluate(new_forecaster(4, 2, 1, 8, Rng(0)), empty.past, empty.future)
+        config = TrainConfig(input_len=4, output_len=2, objective=ObjectiveKind.plain())
+        with pytest.raises(DataError, match="^train set is empty$"):
+            train(config, (empty.past, empty.future), full, full)
+
+    def test_checked_windows(self):
+        past, future = np.zeros((3, 4, 2), dtype=np.float32), np.zeros((3, 2, 2), dtype=int)
+        got = checked_windows("test", past, future, (4, 2), (2, 2))
+        assert [a.dtype for a in got] == [np.float64, np.float64]
+        with pytest.raises(ConfigError, match=r"^test set shapes \(3, 4, 2\)/\(2, 2, 2\) are not"):
+            checked_windows("test", past, future[:2], (4, 2), (2, 2))
+        with pytest.raises(ConfigError, match=r"^test set .*\(4, 2\)/\(2, 2\) do not match \(4, 1\)/\(2, 1\)$"):
+            checked_windows("test", past, future, (4, 1), (2, 1))
+        past[2, 3, 1] = np.inf
+        with pytest.raises(ConfigError, match="^test set contains non-finite values$"):
+            checked_windows("test", past, future, (4, 2), (2, 2))
 
     def test_no_leakage_across_split_boundaries(self):
         ds = SeriesDataset(np.arange(40, dtype=float)[:, None], ["x"])

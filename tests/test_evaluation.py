@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wavebound.evaluation as evaluation_module
 from wavebound import (
     ConfigError,
     DataError,
@@ -97,7 +98,7 @@ class TestEvaluate:
 
     def test_future_of_another_feature_count_rejected(self):
         params = new_forecaster(4, 3, 1, 8, Rng(2))
-        with pytest.raises(ConfigError, match="output shape"):
+        with pytest.raises(ConfigError, match=r"^evaluation set .*\(4, 1\)/\(3, 2\) do not match \(4, 1\)/\(3, 1\)$"):
             evaluate(params, np.zeros((5, 4, 1)), np.zeros((5, 3, 2)))
 
     def test_empty_rejected(self):
@@ -173,20 +174,30 @@ class TestChunkedEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one chunk: the scratch rows, the hidden states and output, the finiteness mask
-        slack = 8 * ((CHUNK + 1) * width + CHUNK * (2 * hidden + width)) + CHUNK * 96 + 2**16
+        # one chunk: the scratch rows, the hidden states and output (the set's
+        # finiteness masks are freed before the |err| buffer is made)
+        slack = 8 * ((CHUNK + 1) * width + CHUNK * (2 * hidden + width)) + 2**16
         assert peak <= 1.5 * n * width * 8 + slack, (peak, n * width * 8)
 
     def test_non_finite_past_in_a_later_chunk_rejected(self):
         params = chunk_test_model(1, 64, "source")
         past = np.zeros((CHUNK + 3, 96, 1))
         past[CHUNK + 1, 5, 0] = np.nan
-        with pytest.raises(ConfigError, match="input contains non-finite values"):
+        with pytest.raises(ConfigError, match="^evaluation set contains non-finite values$"):
             evaluate(params, past, np.zeros((CHUNK + 3, 96, 1)))
+
+    def test_non_finite_future_rejected(self, monkeypatch):
+        # Unchecked, the NaN would come out as a NaN MSE.
+        params = chunk_test_model(1, 64, "source")
+        future = np.zeros((CHUNK + 3, 96, 1))
+        future[CHUNK + 2, 95, 0] = np.nan
+        monkeypatch.setattr(evaluation_module, "_forward_flat", None)  # the check comes first
+        with pytest.raises(ConfigError, match="^evaluation set contains non-finite values$"):
+            evaluate(params, np.zeros((CHUNK + 3, 96, 1)), future)
 
     def test_past_of_another_shape_rejected_with_its_shape(self):
         params = chunk_test_model(1, 64, "source")
-        with pytest.raises(ConfigError, match=r"expected batched input \(n, 96, 1\), got \(4, 90, 1\)"):
+        with pytest.raises(ConfigError, match=r"^evaluation set .*\(90, 1\)/\(96, 1\) do not match \(96, 1\)/\(96, 1\)$"):
             evaluate(params, np.zeros((4, 90, 1)), np.zeros((4, 96, 1)))
 
 

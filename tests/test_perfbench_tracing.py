@@ -52,4 +52,5 @@ def test_tracer_installs_around_train_and_restores_every_name(monkeypatch):
     spans = [name for _, name, *_ in tracer.spans]
     assert spans.count("trainer.train") == 1
     assert spans.count("adam.step") == spans.count("ema.update") == steps
+    assert spans.count("evaluation.evaluate") == 3 * 2  # 3 sets per epoch
     assert np.isfinite(result.log.records[-1].val_mse)

@@ -6,6 +6,7 @@ import pytest
 import wavebound.trainer as trainer_module
 from wavebound import (
     ConfigError,
+    DataError,
     ObjectiveKind,
     Rng,
     SeriesDataset,
@@ -90,7 +91,7 @@ class TestConfigValidation:
     def test_empty_validation_set_rejected(self):
         cfg = make_config(ObjectiveKind.plain())
         empty = (np.zeros((0, L, K)), np.zeros((0, M, K)))
-        with pytest.raises(ConfigError, match="validation set is empty"):
+        with pytest.raises(DataError, match="validation set is empty"):
             train(cfg, SETS[0], empty, SETS[2])
 
     def test_window_length_mismatch_rejected(self):
@@ -107,6 +108,21 @@ class TestConfigValidation:
         monkeypatch.setattr(trainer_module, "_forward_flat", None)  # no step may run
         with pytest.raises(ConfigError, match=f"^{name} set contains non-finite values$"):
             train(make_config(ObjectiveKind.wave_indiv(0.01)), *sets)
+
+    def test_future_of_another_feature_count_rejected_before_the_first_step(self, monkeypatch):
+        # Unchecked, the step's reshape of the K=1 prediction raised a bare ValueError.
+        past, future = SETS[0]
+        sets = [(past, np.concatenate([future, future], axis=2)), SETS[1], SETS[2]]
+        monkeypatch.setattr(trainer_module, "_forward_flat", None)  # no step may run
+        with pytest.raises(ConfigError, match=r"^train set .*\(6, 1\)/\(3, 2\) do not match \(6, 1\)/\(3, 1\)$"):
+            train(make_config(ObjectiveKind.plain()), *sets)
+
+    def test_validation_set_of_another_feature_count_rejected_before_the_first_step(self, monkeypatch):
+        # Unchecked, it was rejected by `evaluate` only after a whole epoch.
+        sets = [SETS[0], tuple(np.concatenate([a, a], axis=2) for a in SETS[1]), SETS[2]]
+        monkeypatch.setattr(trainer_module, "_forward_flat", None)  # no step may run
+        with pytest.raises(ConfigError, match=r"^validation set .*\(6, 2\)/\(3, 2\) do not match \(6, 1\)/\(3, 1\)$"):
+            train(make_config(ObjectiveKind.plain()), *sets)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
