@@ -333,7 +333,7 @@ def cmd_train(args) -> int:
         gap = generalization_gap(result.log)
         write_rows(path("generalization_gap.csv"), ("epoch", "gap"),
                    ((record.epoch, value) for record, value in zip(result.log.records, gap)))
-        metrics = {name: evaluate(result.params, *s) for name, s in zip(SPLITS, sets)}
+        metrics = dict(zip(SPLITS, result.metrics))
         write_rows(path("metrics.csv"), METRICS_HEADER,
                    ((name, m.mse, m.mae, m.sample_count) for name, m in metrics.items()))
         write_rows(path("per_step_test_mse.csv"), ("step", "mse"),
@@ -378,6 +378,14 @@ def cmd_eval(args) -> int:
     with _outputs(args.out, text) as path:
         params, _mirror = checkpoint_load(args.checkpoint)
         sets = dict(zip(SPLITS, _prepare_data(cfg)))
+        n_features = sets["train"][0].shape[2]
+        shapes = (cfg["input_len"], n_features), (cfg["output_len"], n_features)
+        if (params.input_shape, params.output_shape) != shapes:
+            raise ConfigError(
+                f"checkpoint {args.checkpoint} maps {params.input_shape} -> {params.output_shape} "
+                f"windows, but input_len={cfg['input_len']}, output_len={cfg['output_len']} "
+                f"and {n_features} feature(s) give {shapes[0]} -> {shapes[1]}"
+            )
         m = evaluate(params, *sets[args.split])
         write_rows(path("metrics.csv"), METRICS_HEADER, [(args.split, m.mse, m.mae, m.sample_count)])
         write_rows(path("per_step_mse.csv"), ("step", "mse"), enumerate(m.per_step_mse))

@@ -72,10 +72,6 @@ class SeriesDataset:
     def n_features(self) -> int:
         return self.values.shape[1]
 
-    def destandardize(self, values: np.ndarray) -> np.ndarray:
-        """Map scaled values back to the raw scale of the source series."""
-        return np.asarray(values) * self.std + self.mean
-
 
 @dataclass(frozen=True, eq=False)
 class WindowSet:

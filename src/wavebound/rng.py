@@ -98,8 +98,6 @@ def _key_part(part) -> int:
 class Rng:
     """Deterministic random stream: PCG64 keyed by (seed, spawn_key)."""
 
-    ALGORITHM = "pcg64"
-
     def __init__(self, seed: int, spawn_key: tuple = ()):
         self.seed = int(seed)
         if self.seed < 0:

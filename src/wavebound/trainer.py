@@ -19,7 +19,10 @@ Every update writes in place, so the source, its Adam moments, the target
 and the gradient each keep one buffer for the whole run.  `train` is the
 only code that keeps earlier state: it allocates the best-epoch snapshot
 once, as copies of the initial networks, and refreshes it with `np.copyto`
-at every epoch whose validation MSE improves.
+at every epoch whose validation MSE improves, and keeps beside it the three
+`MetricRecord`s that epoch measured, so the best epoch is measured once.
+After each epoch's evaluations a train, validation or test MSE that is not
+finite stops the run with `NumericError`.
 
 A single gradient path serves every objective (they differ only in the
 mask), so trajectories that are mathematically equal (e.g. flood level 0 vs
@@ -41,7 +44,7 @@ from .adam import adam_init, adam_step
 from .data import atomic_open, batch_indices, checked_windows, write_rows
 from .ema import EmaMirror, ema_init, ema_update
 from .errors import ConfigError, NumericError
-from .evaluation import evaluate
+from .evaluation import MetricRecord, evaluate
 from .nn import ModelParams, _backward_from, _forward_flat, new_forecaster
 
 # Not called here (`train` runs the unchecked forward, backward, risk and
@@ -143,16 +146,24 @@ class TrainLog:
 
 @dataclass
 class TrainResult:
+    """What `train` returns.
+
+    `metrics` holds the (train, validation, test) `MetricRecord`s measured at
+    the best epoch, i.e. `evaluate(params, *set)` of each set, bit for bit;
+    `log.records[best_epoch]` holds the same MSEs.
+    """
+
     params: ModelParams  # evaluated network at the best-validation epoch
     mirror: EmaMirror  # mirror snapshot at that same epoch
     log: TrainLog
     best_epoch: int
     final_source: ModelParams
     final_mirror: EmaMirror
+    metrics: tuple[MetricRecord, MetricRecord, MetricRecord]
 
 
 def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelParams | None = None) -> TrainResult:
-    """Run the loop; return best-validation parameters, mirror, and log.
+    """Run the loop; return best-validation parameters, mirror, metrics and log.
 
     The three stacked (past, future) sets are checked once, by `checked_windows`,
     so the steps skip the public forward and backward's per-call checks.
@@ -194,6 +205,7 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
     best_params = params.copy() if config.eval_network == "source" else best_mirror.target
     best_val = np.inf
     best_epoch = 0
+    best_metrics = None
     epochs_since_best = 0
 
     for epoch in range(config.max_epochs):
@@ -235,6 +247,10 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
         train_metrics = evaluate(eval_params, train_past, train_future)
         val_metrics = evaluate(eval_params, val_past, val_future)
         test_metrics = evaluate(eval_params, test_past, test_future)
+        metrics = train_metrics, val_metrics, test_metrics
+        for name, m in zip(("train", "validation", "test"), metrics):
+            if not math.isfinite(m.mse):
+                raise NumericError(f"non-finite {name} MSE {m.mse!r} at epoch {epoch}")
         log.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -252,6 +268,7 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
             if config.eval_network == "source":
                 np.copyto(best_mirror.target.flat, mirror.target.flat)
             best_epoch = epoch
+            best_metrics = metrics
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -265,6 +282,7 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
         best_epoch=best_epoch,
         final_source=params,
         final_mirror=mirror,
+        metrics=best_metrics,
     )
 
 
@@ -339,14 +357,14 @@ def sweep(
             results = list(pool.map(_sweep_point, jobs))
     rows = []
     for value, result in zip(values, results):
-        last = result.log.records[result.best_epoch]
+        train_metrics, val_metrics, test_metrics = result.metrics
         rows.append(
             SweepRow(
                 param=param,
                 value=float(value),
-                val_mse=last.val_mse,
-                test_mse=last.test_mse,
-                train_mse=last.train_mse,
+                val_mse=val_metrics.mse,
+                test_mse=test_metrics.mse,
+                train_mse=train_metrics.mse,
                 best_epoch=result.best_epoch,
                 result=result,
             )

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from wavebound import cli
 from wavebound.cli import main
 from wavebound.errors import ConfigError, DataError, NumericError, WaveboundError
 
@@ -88,6 +89,19 @@ class TestTrain:
         # wall clock goes to stderr only
         assert "seconds=" not in stdout
         assert "seconds=" in stderr
+
+    def test_reports_the_metrics_measured_in_training(self, tmp_path, capsys, monkeypatch):
+        # metrics.csv and per_step_test_mse.csv come from `train`, not a second evaluation
+        evaluate, calls = cli.evaluate, []
+
+        def spy(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "evaluate", spy)
+        code, _, _ = run_cli(capsys, "train", "--out", str(tmp_path / "run"), *SMALL)
+        assert code == 0
+        assert len(calls) == 0
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -294,19 +308,29 @@ class TestEval:
         assert trained == evaled
         assert (eval_dir / "per_step_mse.csv").exists()
 
-    @pytest.mark.parametrize("output_len", ["1", "4"])
-    def test_output_len_unlike_the_checkpoint_is_config_error(self, tmp_path, capsys, output_len):
+    @pytest.mark.parametrize("settings,shapes", [
+        pytest.param(["output_len=1"], "(8, 1) -> (1, 1)", id="1"),
+        pytest.param(["output_len=4"], "(8, 1) -> (4, 1)", id="4"),
+        pytest.param(["input_len=6"], "(6, 1) -> (8, 1)", id="input_len"),
+        pytest.param(["data=csv", "csv_path=CSV", "univariate=false"], "(8, 2) -> (8, 2)", id="two_features"),
+    ])
+    def test_output_len_unlike_the_checkpoint_is_config_error(self, tmp_path, capsys, settings, shapes):
         run_dir = tmp_path / "run"
         code, _, _ = run_cli(capsys, "train", "--out", str(run_dir), *SMALL, "--set", "output_len=8")
         assert code == 0
+        series = tmp_path / "two.csv"
+        series.write_text("date,a,b\n" + "".join(f"{i},{math.sin(i)},{math.cos(i)}\n" for i in range(120)))
         eval_dir = tmp_path / "eval"
+        ckpt = run_dir / "model.ckpt"
+        sets = [a for setting in settings for a in ("--set", setting.replace("CSV", str(series)))]
         code, stdout, stderr = run_cli(
-            capsys, "eval", "--checkpoint", str(run_dir / "model.ckpt"),
-            "--out", str(eval_dir), *SMALL, "--set", f"output_len={output_len}",
+            capsys, "eval", "--checkpoint", str(ckpt),
+            "--out", str(eval_dir), *SMALL, "--set", "output_len=8", *sets,
         )
         assert code == 2
-        assert stderr.startswith("error: ")
-        assert f"({output_len}, 1)" in stderr and "(8, 1)" in stderr
+        assert stderr.startswith(f"error: checkpoint {ckpt} maps (8, 1) -> (8, 1) windows")
+        assert "input_len=" in stderr and "output_len=" in stderr
+        assert stderr.endswith(f" give {shapes}\n")
         assert stdout == ""
         assert not eval_dir.exists()
 
@@ -500,6 +524,17 @@ class TestExitCodes:
                                   "--set", "learning_rate=1e300")
         assert code == 4
         assert stderr.startswith("error: non-finite")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_epoch_mse_is_numeric_error(self, tmp_path, capsys):
+        # 61 train windows in one batch: each epoch is one step, so only the
+        # evaluation after it can see the overflow.
+        out = tmp_path / "run"
+        code, stdout, stderr = run_cli(capsys, "train", "--out", str(out), *SMALL,
+                                       "--set", "batch_size=64", "--set", "learning_rate=1e300")
+        assert (code, stdout) == (4, "")
+        assert stderr == "error: non-finite train MSE inf at epoch 0\n"
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

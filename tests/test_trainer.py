@@ -7,10 +7,12 @@ import wavebound.trainer as trainer_module
 from wavebound import (
     ConfigError,
     DataError,
+    NumericError,
     ObjectiveKind,
     Rng,
     SeriesDataset,
     TrainConfig,
+    evaluate,
     sweep,
     train,
     windowize,
@@ -123,6 +125,18 @@ class TestConfigValidation:
         monkeypatch.setattr(trainer_module, "_forward_flat", None)  # no step may run
         with pytest.raises(ConfigError, match=r"^validation set .*\(6, 2\)/\(3, 2\) do not match \(6, 1\)/\(3, 1\)$"):
             train(make_config(ObjectiveKind.plain()), *sets)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_epoch_mse_is_numeric_error(self):
+        # One step per epoch, so the objective stays finite and only the
+        # evaluation sees the overflow; unchecked, the untrained network was
+        # returned as the best epoch.
+        sets = [tuple(a[:8] for a in SETS[0]), SETS[1], SETS[2]]
+        cfg = make_config(
+            ObjectiveKind.plain(), hidden_dim=4, learning_rate=1e300, max_epochs=1, eval_network="source"
+        )
+        with pytest.raises(NumericError, match=r"^non-finite train MSE inf at epoch 0$"):
+            train(cfg, *sets)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
@@ -276,8 +290,6 @@ class TestEarlyStopping:
         assert result.log.records[result.best_epoch].val_mse == min(vals)
 
     def test_returned_params_come_from_best_epoch(self):
-        from wavebound import evaluate
-
         cfg = make_config(ObjectiveKind.plain(), max_epochs=5, eval_network="source")
         result = train(cfg, *SETS)
         val_past, val_future = SETS[1]
@@ -285,11 +297,15 @@ class TestEarlyStopping:
         assert got == result.log.records[result.best_epoch].val_mse
 
 
+# Runs whose best epoch is neither the first nor the last.
+BEST_EPOCH_INSIDE = pytest.mark.parametrize("eval_network,objective,lr,epochs", [
+    ("source", ObjectiveKind.plain(), 0.1, 6),
+    ("target", ObjectiveKind.wave_indiv(0.01), 0.03, 5),
+])
+
+
 class TestBestEpochSnapshot:
-    @pytest.mark.parametrize("eval_network,objective,lr,epochs", [
-        ("source", ObjectiveKind.plain(), 0.1, 6),
-        ("target", ObjectiveKind.wave_indiv(0.01), 0.03, 5),
-    ])
+    @BEST_EPOCH_INSIDE
     def test_snapshot_is_the_state_of_a_run_stopped_at_the_best_epoch(
         self, eval_network, objective, lr, epochs
     ):
@@ -306,6 +322,21 @@ class TestBestEpochSnapshot:
         assert result.mirror.target.flat.tobytes() == stopped.final_mirror.target.flat.tobytes()
         assert (result.params is result.mirror.target) == (eval_network == "target")
         assert result.final_source.flat.tobytes() != stopped.final_source.flat.tobytes()
+
+    @BEST_EPOCH_INSIDE
+    def test_metrics_are_the_evaluation_of_the_returned_params(self, eval_network, objective, lr, epochs):
+        cfg = make_config(
+            objective, learning_rate=lr, max_epochs=epochs, eval_network=eval_network
+        )
+        result = train(cfg, *SETS)
+        assert 0 < result.best_epoch < len(result.log.records) - 1
+        assert len(result.metrics) == 3
+        for got, window_set in zip(result.metrics, SETS):
+            want = evaluate(result.params, *window_set)
+            assert np.float64(got.mse).tobytes() == np.float64(want.mse).tobytes()
+            assert np.float64(got.mae).tobytes() == np.float64(want.mae).tobytes()
+            assert got.per_step_mse.tobytes() == want.per_step_mse.tobytes()
+            assert got.sample_count == want.sample_count
 
     def test_init_params_left_unchanged(self):
         init = trainer_module.new_forecaster(L, M, K, 64, Rng(5))
