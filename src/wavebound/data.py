@@ -3,15 +3,17 @@
 A series is a (T, K) float64 matrix: T time steps, K features.  A window
 pairs L past rows with the M rows that follow immediately; stride is 1, so
 a segment of length T' yields n = T' - L - M + 1 windows.  A segment's
-windows are held as one `WindowSet`: a C-contiguous (n, L, K) `past` array
-and an (n, M, K) `future` array, copied out of a single
-`sliding_window_view` of the segment, so past[i] = segment[i : i+L] and
-future[i] = segment[i+L : i+L+M].  Splits are chronological, applied to the
-raw series before windowing, so windows never cross a split boundary.
-Standardization statistics come from the train segment alone and are shared
-by the validation and test segments.  `checked_windows` decides whether a
-stacked window set fits a model.  Every file the package writes goes
-through `atomic_open`, so no failed write leaves a partial file at its path.
+windows are held as one `WindowSet`: an (n, L, K) `past` and an (n, M, K)
+`future`, the two halves of a single `sliding_window_view` of the segment,
+so past[i] = segment[i : i+L] and future[i] = segment[i+L : i+L+M].  They
+are read-only views of the segment's frozen values, not copies: a set costs
+the segment's memory, not n*(L+M)*K floats.  Splits are chronological,
+applied to the raw series before windowing, so windows never cross a split
+boundary.  Standardization statistics come from the train segment alone and
+are shared by the validation and test segments.  `checked_windows` decides
+whether a stacked window set fits a model.  Every file the package writes
+goes through `atomic_open`, so no failed write leaves a partial file at its
+path.
 """
 
 from __future__ import annotations
@@ -77,7 +79,10 @@ class SeriesDataset:
 class WindowSet:
     """All windows of one segment: past (n, L, K) and future (n, M, K).
 
-    Both are C-contiguous float64 arrays that own their memory.
+    Both are float64 read-only views of the segment's values (an empty set
+    holds two empty arrays).  Consecutive windows overlap in memory, so code
+    that needs contiguous rows copies the windows it uses, as `evaluate`
+    does one chunk at a time.
     """
 
     past: np.ndarray
@@ -357,7 +362,10 @@ def split_and_standardize(
 
 
 def windowize(segment: SeriesDataset, input_len: int, output_len: int) -> WindowSet:
-    """All stride-1 windows of a segment: count = T' - L - M + 1."""
+    """All stride-1 windows of a segment: count = T' - L - M + 1.
+
+    The windows are read-only views of `segment.values`; nothing is copied.
+    """
     if input_len < 1 or output_len < 1:
         raise ConfigError("window lengths must be >= 1")
     values = segment.values
@@ -372,7 +380,7 @@ def windowize(segment: SeriesDataset, input_len: int, output_len: int) -> Window
         return WindowSet(np.empty((0, input_len, k)), np.empty((0, output_len, k)))
     # (n, K, span) view of the segment, transposed to (n, span, K)
     view = sliding_window_view(values, span, axis=0).transpose(0, 2, 1)
-    return WindowSet(view[:, :input_len].copy(), view[:, input_len:].copy())
+    return WindowSet(view[:, :input_len], view[:, input_len:])
 
 
 def checked_windows(name, past, future, input_shape, output_shape) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,10 @@ def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> Metri
       total, in the sequential order of `(err * err).mean(axis=0)`;
     - the mean absolute error is the mean of the whole |err| buffer, with
       numpy's pairwise summation over the same n*M*K values;
+    - each chunk is forwarded from a contiguous (rows, L*K) array, a copy
+      when its windows are not contiguous.  Windows from `windowize` overlap
+      in memory, and a reshape of them has overlapping rows, which some
+      numpy versions multiply outside BLAS, slower and with other rounding;
     - a matmul over a few rows takes another BLAS kernel (numpy's gemv for
       one row, OpenBLAS's small-matrix kernel for a few) than the same rows
       inside a matmul over many, and rounds differently.  So a short last
@@ -58,7 +62,7 @@ def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> Metri
         stop = min(start + CHUNK, n)
         count = stop - start
         first = start if start == 0 or count == CHUNK else stop - CHUNK
-        chunk = past[first:stop].reshape(stop - first, -1)
+        chunk = np.ascontiguousarray(past[first:stop]).reshape(stop - first, -1)
         err = _forward_flat(params, chunk)[-1][start - first :]
         err -= future[start:stop].reshape(count, width)
         np.abs(err, out=abs_err[start:stop])

@@ -185,10 +185,10 @@ def train(config: TrainConfig, train_set, val_set, test_set, init_params: ModelP
             config.input_len, config.output_len, n_features, config.hidden_dim, rng.split("init")
         )
     else:
-        if init_params.input_shape != (config.input_len, n_features):
+        if (init_params.input_shape, init_params.output_shape) != shapes:
             raise ConfigError(
-                f"init params expect input {init_params.input_shape}, "
-                f"data is {(config.input_len, n_features)}"
+                f"init params map input {init_params.input_shape} to output "
+                f"{init_params.output_shape}; config and data need {shapes[0]} to {shapes[1]}"
             )
         params = init_params.copy()
     mirror = ema_init(params, config.ema_decay)

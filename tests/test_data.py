@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -264,13 +265,25 @@ class TestWindowize:
                     windows.future[i], seg.values[i + input_len : i + input_len + output_len]
                 )
 
-    def test_arrays_are_contiguous_writable_copies(self):
+    def test_windows_are_read_only_views_of_the_segment(self):
         seg = self.segment(12, k=2)
         windows = windowize(seg, 4, 3)
         for array in (windows.past, windows.future):
             assert array.dtype == np.float64
-            assert array.flags.c_contiguous and array.flags.writeable
-            assert not np.shares_memory(array, seg.values)
+            assert np.shares_memory(array, seg.values)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0
+        long = self.segment(10_000, k=3)
+        tracemalloc.start()
+        try:
+            windows = windowize(long, 96, 96)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # copies of both halves would take n*(L+M)*K*8 bytes, about 45 MB
+        assert len(windows) == 10_000 - 191
+        assert peak < 64 * 1024, peak
 
     def test_count_formula_random_triples(self):
         rng = Rng(11)

@@ -11,12 +11,16 @@ from wavebound import (
     ObjectiveKind,
     Rng,
     SeriesDataset,
+    SplitSpec,
     TrainConfig,
     evaluate,
+    split_and_standardize,
+    stack_windows,
     sweep,
     train,
     windowize,
 )
+from wavebound.evaluation import CHUNK
 
 L, M, K = 6, 3, 1
 
@@ -344,6 +348,54 @@ class TestBestEpochSnapshot:
         result = train(make_config(ObjectiveKind.wave_indiv(0.01)), *SETS, init_params=init)
         assert init.flat.tobytes() == before.tobytes()
         assert result.final_source.flat.tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("input_len, output_len", [(L, 4), (5, M)])
+    def test_init_params_of_another_window_shape_rejected(self, input_len, output_len):
+        # the config is 6 -> 3; an output mismatch used to fail mid-step in a reshape
+        init = trainer_module.new_forecaster(input_len, output_len, K, 4, Rng(5))
+        with pytest.raises(
+            ConfigError,
+            match=rf"^init params map input \({input_len}, 1\) to output \({output_len}, 1\); "
+            r"config and data need \(6, 1\) to \(3, 1\)$",
+        ):
+            train(make_config(ObjectiveKind.plain()), *SETS, init_params=init)
+
+
+def metric_bytes(m):
+    return (np.float64(m.mse).tobytes(), np.float64(m.mae).tobytes(), m.per_step_mse.tobytes(),
+            m.per_element_mse.tobytes(), m.sample_count)
+
+
+class TestWindowLayout:
+    """`windowize` gives overlapping read-only views; contiguous copies of them give the same bytes."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("objective", [ObjectiveKind.plain(), ObjectiveKind.wave_indiv(0.01)],
+                             ids=["plain", "wave_indiv"])
+    def test_views_and_contiguous_copies_agree_bit_for_bit(self, k, objective):
+        values = Rng(7).normal(size=(CHUNK + 200, k)).cumsum(axis=0)
+        series = SeriesDataset(values, [f"f{i}" for i in range(k)])
+        views = [stack_windows(windowize(s, 8, 4)) for s in split_and_standardize(series, SplitSpec())]
+        copies = [tuple(np.ascontiguousarray(a) for a in window_set) for window_set in views]
+        assert not any(past.flags.c_contiguous or past.flags.writeable for past, _ in views)
+        config = TrainConfig(input_len=8, output_len=4, objective=objective, batch_size=16,
+                             learning_rate=1e-3, max_epochs=3, patience=5, seed=3, hidden_dim=16)
+        a, b = train(config, *views), train(config, *copies)
+        assert len(a.log.records) == len(b.log.records) == 3
+        for ra, rb in zip(a.log.records, b.log.records):
+            assert np.array([ra.train_objective, ra.train_mse, ra.val_mse, ra.test_mse]).tobytes() == (
+                np.array([rb.train_objective, rb.train_mse, rb.val_mse, rb.test_mse]).tobytes())
+            assert ra.per_step_test_mse.tobytes() == rb.per_step_test_mse.tobytes()
+        assert a.best_epoch == b.best_epoch
+        assert a.final_source.flat.tobytes() == b.final_source.flat.tobytes()
+        assert a.final_mirror.target.flat.tobytes() == b.final_mirror.target.flat.tobytes()
+        assert [metric_bytes(m) for m in a.metrics] == [metric_bytes(m) for m in b.metrics]
+        # a set of more than one chunk, with a short last chunk
+        whole = stack_windows(windowize(series, 8, 4))
+        assert CHUNK < len(whole[0]) < 2 * CHUNK
+        got = evaluate(a.params, *whole)
+        want = evaluate(a.params, *(np.ascontiguousarray(x) for x in whole))
+        assert metric_bytes(got) == metric_bytes(want)
 
 
 class TestLogExport:
