@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,9 @@ def test_rejected_step_leaves_params_and_state_unchanged():
         adam_step(model, scalar_grads(np.nan), state, lr=0.1)
     with pytest.raises(ConfigError):
         adam_step(model, np.zeros(3), state, lr=0.1)
+    for lr in (np.nan, np.inf, -1.0):
+        with pytest.raises(ConfigError, match="learning rate"):
+            adam_step(model, scalar_grads(0.3), state, lr=lr)
     assert model.flat.tolist() == [1.0, 0.0]
     assert (state.first_moment.tolist(), state.second_moment.tolist()) == ([0.5, 0.25], [1.0, 2.0])
     assert state.step_count == 4
@@ -122,6 +126,16 @@ def random_step_inputs(n: int, step_count: int):
 
 
 def expression_step(p, g, m, v, t, lr):
+    """Kingma & Ba's folded Adam update, one whole-array expression per line."""
+    root_bc2 = math.sqrt(1.0 - BETA2**t)
+    alpha = lr * root_bc2 / (1.0 - BETA1**t)
+    m = BETA1 * m + (1.0 - BETA1) * g
+    v = BETA2 * v + (1.0 - BETA2) * g * g
+    step = alpha * m / (np.sqrt(v) + EPS * root_bc2)
+    return p - step, m, v
+
+
+def textbook_step(p, g, m, v, t, lr):
     """The textbook Adam update, one whole-array expression per line."""
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
@@ -140,6 +154,25 @@ def test_blocked_step_matches_expression_bit_for_bit(n, t):
     for got, ref in zip((new.flat, after.first_moment, after.second_moment), want):
         assert got.tobytes() == ref.tobytes()
     assert after.step_count == t
+
+
+def test_folded_step_tracks_the_textbook_form():
+    # The folded form moves the bias corrections into scalars, so the
+    # parameters may differ from the textbook's in the last bits; the
+    # moments are formed by the same expressions and stay byte-equal.
+    n = 2 * BLOCK + 7
+    model, _, state = random_step_inputs(n, 0)
+    state.first_moment[:] = 0.0
+    state.second_moment[:] = 0.0
+    p, m, v = model.flat.copy(), state.first_moment.copy(), state.second_moment.copy()
+    rng = np.random.default_rng(2)
+    for t in range(1, 2001):
+        grads = rng.normal(size=n)
+        p, m, v = textbook_step(p, grads, m, v, t, 1e-3)
+        adam_step(model, grads, state, lr=1e-3)
+    assert state.first_moment.tobytes() == m.tobytes()
+    assert state.second_moment.tobytes() == v.tobytes()
+    assert np.abs(model.flat - p).max() <= 1e-14 * np.abs(p).max()
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
