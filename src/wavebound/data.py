@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConfigError, DataError
 from .rng import Rng
@@ -383,11 +383,52 @@ def windowize(segment: SeriesDataset, input_len: int, output_len: int) -> Window
     return WindowSet(view[:, :input_len], view[:, input_len:])
 
 
+def window_segment(past, future) -> np.ndarray | None:
+    """The (n + L + M - 1, K) segment whose stride-1 windows are (past, future), or None.
+
+    It is a read-only view of the windows' memory, found when past and
+    future are float64 (n, L, K) and (n, M, K) arrays whose two leading
+    strides are one row's step and future starts L rows after past, as
+    `windowize` returns them; then `windowize` of its values gives the same
+    windows.  Any other pair gives None.
+    """
+    if not (isinstance(past, np.ndarray) and isinstance(future, np.ndarray)):
+        return None
+    if past.dtype != np.float64 or future.dtype != np.float64 or past.ndim != 3 or future.ndim != 3:
+        return None
+    (n, steps, k), row = past.shape, past.strides[0]
+    if n < 1 or future.shape[0] != n or future.shape[2] != k:
+        return None
+    if past.strides[1] != row or future.strides[:2] != (row, row) or future.strides[2] != past.strides[2]:
+        return None
+    if future.ctypes.data != past.ctypes.data + steps * row:
+        return None
+    return as_strided(past, (n + steps + future.shape[1] - 1, k), (row, past.strides[2]),
+                      writeable=False)
+
+
+def _all_finite(windows: np.ndarray) -> bool:
+    """Whether every value of an (n, steps, K) array is finite, reading each value once.
+
+    When the two leading strides are equal, as in `windowize` views and any
+    contiguous (n, 1, K) array, element (i, t, k) shares memory with
+    (i + t, 0, k) for i + t < n, and with (n - 1, i + t - n + 1, k) beyond:
+    the first step of every window and the whole last window hold every
+    value, so checking those n + steps rows is exact.  Any other array is
+    scanned whole.
+    """
+    if windows.strides[0] == windows.strides[1] and windows.shape[1]:
+        return bool(np.isfinite(windows[:, 0]).all() and np.isfinite(windows[-1]).all())
+    return bool(np.isfinite(windows).all())
+
+
 def checked_windows(name, past, future, input_shape, output_shape) -> tuple[np.ndarray, np.ndarray]:
     """The float64 (past, future) of a window set; the one check that a model can use it.
 
     past must be (n, *input_shape) and future (n, *output_shape), all finite;
     otherwise a ConfigError names the set.  An empty set is a DataError.
+    The finiteness check of a set of sliding windows reads its segment, not
+    its n*(L+M)*K window values (`_all_finite`).
     """
     past = np.asarray(past, dtype=np.float64)
     future = np.asarray(future, dtype=np.float64)
@@ -401,7 +442,7 @@ def checked_windows(name, past, future, input_shape, output_shape) -> tuple[np.n
             f"{name} set window lengths and features {past.shape[1:]}/{future.shape[1:]} "
             f"do not match {want[0]}/{want[1]}"
         )
-    if not (np.isfinite(past).all() and np.isfinite(future).all()):
+    if not (_all_finite(past) and _all_finite(future)):
         raise ConfigError(f"{name} set contains non-finite values")
     return past, future
 

@@ -41,7 +41,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adam import adam_init, adam_step
-from .data import atomic_open, batch_indices, checked_windows, write_rows
+from .data import (
+    SeriesDataset,
+    atomic_open,
+    batch_indices,
+    checked_windows,
+    stack_windows,
+    window_segment,
+    windowize,
+    write_rows,
+)
 from .ema import EmaMirror, ema_init, ema_update
 from .errors import ConfigError, NumericError
 from .evaluation import MetricRecord, evaluate
@@ -318,9 +327,36 @@ def _config_with(config: TrainConfig, param: str, value: float) -> TrainConfig:
     raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
 
 
+@dataclass(frozen=True)
+class _ShippedWindows:
+    """A window set as a sweep worker receives it: its segment and window lengths.
+
+    A pickled view is a full contiguous copy, n*(L+M)*K floats; the segment
+    is n+L+M-1 rows, and `windowize` in the worker rebuilds the same windows.
+    """
+
+    segment: np.ndarray
+    input_len: int
+    output_len: int
+
+    def windows(self) -> tuple[np.ndarray, np.ndarray]:
+        names = [str(k) for k in range(self.segment.shape[1])]
+        return stack_windows(windowize(SeriesDataset(self.segment, names), self.input_len, self.output_len))
+
+
+def _shipped(window_set):
+    """The form in which a sweep job carries a set: windowize views as their segment."""
+    if isinstance(window_set, tuple) and len(window_set) == 2:
+        segment = window_segment(*window_set)
+        if segment is not None:
+            past, future = window_set
+            return _ShippedWindows(segment.copy(), past.shape[1], future.shape[1])
+    return window_set
+
+
 def _sweep_point(args) -> TrainResult:
-    config, train_set, val_set, test_set = args
-    return train(config, train_set, val_set, test_set)
+    config, *sets = args
+    return train(config, *(s.windows() if isinstance(s, _ShippedWindows) else s for s in sets))
 
 
 def sweep_configs(config: TrainConfig, param: str, values, workers: int = 1) -> list[TrainConfig]:
@@ -349,7 +385,10 @@ def sweep(
     """One full train per grid value, same seed; rows ranked by val MSE."""
     values = list(values)
     configs = sweep_configs(config, param, values, workers)
-    jobs = [(c, train_set, val_set, test_set) for c in configs]
+    sets = train_set, val_set, test_set
+    if workers > 1:
+        sets = [_shipped(s) for s in sets]
+    jobs = [(c, *sets) for c in configs]
     if workers == 1:
         results = [_sweep_point(j) for j in jobs]
     else:

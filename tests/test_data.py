@@ -341,6 +341,34 @@ class TestWindowize:
         with pytest.raises(ConfigError, match="^test set contains non-finite values$"):
             checked_windows("test", past, future, (4, 2), (2, 2))
 
+    def test_checked_windows_reads_a_view_at_segment_cost(self):
+        # 41 809 windows of 96 -> 96: a whole-set finiteness mask would be
+        # 41 809 * 96 bytes for each half
+        segment = SeriesDataset(np.random.default_rng(3).normal(size=(42_000, 1)), ["x"])
+        windows = windowize(segment, 96, 96)
+        assert len(windows) == 41_809
+        tracemalloc.start()
+        try:
+            past, future = checked_windows("train", windows.past, windows.future, (96, 1), (96, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert past is windows.past and future is windows.future
+        assert peak < 2**20, peak
+
+    def test_window_segment_inverts_windowize(self):
+        values = np.arange(30, dtype=float).reshape(15, 2)
+        windows = windowize(SeriesDataset(values, ["a", "b"]), 4, 3)
+        segment = data.window_segment(windows.past, windows.future)
+        assert segment.tobytes() == values.tobytes() and not segment.flags.writeable
+        part = data.window_segment(windows.past[2:5], windows.future[2:5])
+        assert part.tobytes() == values[2:11].tobytes()
+        # not the two halves of one set of sliding windows
+        assert data.window_segment(windows.past.copy(), windows.future) is None
+        assert data.window_segment(windows.past[1:], windows.future[:-1]) is None
+        assert data.window_segment(windows.past[:0], windows.future[:0]) is None
+        assert data.window_segment(windows.past, windows.future[..., :1]) is None
+
     def test_no_leakage_across_split_boundaries(self):
         ds = SeriesDataset(np.arange(40, dtype=float)[:, None], ["x"])
         train, val, test = split_and_standardize(ds, SplitSpec(), standardize=False)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavebound.evaluation as evaluation_module
 from wavebound import (
@@ -9,13 +11,15 @@ from wavebound import (
     DataError,
     ModelParams,
     Rng,
+    SeriesDataset,
     evaluate,
     generalization_gap,
     mlp_forward_batch,
     new_forecaster,
+    windowize,
 )
 from wavebound.ema import ema_init, ema_update
-from wavebound.evaluation import CHUNK, MetricRecord
+from wavebound.evaluation import CHUNK, PAIRWISE, MetricRecord, _sum_plan, _tree_sum
 
 
 def linear_model(weight, bias, input_shape, output_shape):
@@ -157,27 +161,41 @@ class TestChunkedEvaluate:
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert got.sample_count == n
 
-    def test_peak_memory_stays_near_one_error_buffer(self):
-        # Beyond a chunk's temporaries, evaluate keeps one (n, M*K) buffer
-        # of |err|.  A whole-set forward with its error, squared error and
-        # |err| arrays would peak at 3x that buffer.
-        hidden, width = 64, 96
-        params = chunk_test_model(1, hidden, "source")
-        n = 8 * CHUNK + 5
-        rng = Rng(13)
+    def test_bit_identical_on_a_long_set(self):
+        # 40 chunks: many chunk boundaries cut numpy's pairwise tree of |err|
+        n = 20_000
+        params = chunk_test_model(1, 16, "target")
+        rng = Rng(14)
         past = rng.normal(size=(n, 96, 1))
         future = rng.normal(size=(n, 96, 1))
-        evaluate(params, past[:CHUNK], future[:CHUNK])  # one-time allocations
-        tracemalloc.start()
-        try:
-            evaluate(params, past, future)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one chunk: the scratch rows, the hidden states and output (the set's
-        # finiteness masks are freed before the |err| buffer is made)
-        slack = 8 * ((CHUNK + 1) * width + CHUNK * (2 * hidden + width)) + 2**16
-        assert peak <= 1.5 * n * width * 8 + slack, (peak, n * width * 8)
+        got = evaluate(params, past, future)
+        want = full_set_evaluate(params, past, future)
+        assert np.float64(got.mse).tobytes() == np.float64(want.mse).tobytes()
+        assert np.float64(got.mae).tobytes() == np.float64(want.mae).tobytes()
+        assert got.per_element_mse.tobytes() == want.per_element_mse.tobytes()
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # On windowize views, which cost their segment's memory, evaluate
+        # allocates one chunk's arrays whatever the set's size.
+        hidden, width = 64, 96
+        params = chunk_test_model(1, hidden, "source")
+        segment = SeriesDataset(Rng(13).normal(size=(16 * CHUNK + 2 * width, 1)), ["x"])
+        windows = windowize(segment, width, width)
+        # one chunk: the contiguous past, the hidden states and output (the
+        # last chunk's past and output live on while the next are made), the
+        # squared-error rows and the |err| buffer
+        bound = 8 * (CHUNK * (4 * width + 2 * hidden) + (CHUNK + 1) * width
+                     + PAIRWISE + CHUNK * width) + 2**16
+        for n in (2 * CHUNK + 5, 16 * CHUNK + 5):
+            past, future = windows.past[:n], windows.future[:n]
+            evaluate(params, past, future)  # one-time allocations, the sum's plan among them
+            tracemalloc.start()
+            try:
+                evaluate(params, past, future)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (n, peak, bound)
 
     def test_non_finite_past_in_a_later_chunk_rejected(self):
         params = chunk_test_model(1, 64, "source")
@@ -199,6 +217,26 @@ class TestChunkedEvaluate:
         params = chunk_test_model(1, 64, "source")
         with pytest.raises(ConfigError, match=r"^evaluation set .*\(90, 1\)/\(96, 1\) do not match \(96, 1\)/\(96, 1\)$"):
             evaluate(params, np.zeros((4, 90, 1)), np.zeros((4, 96, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 100_000), st.integers(PAIRWISE, 5_000), st.integers(0, 2**32 - 1))
+def test_streamed_sum_is_numpys_pairwise_sum(size, step, seed):
+    # The values arrive step at a time into a buffer that keeps the last
+    # PAIRWISE values of the part before, as in evaluate.
+    rng = np.random.default_rng(seed)
+    values = rng.random(size) * 10.0 ** rng.uniform(-8, 8, size)
+    leaves, order = _sum_plan(size, step)
+    buffer = np.zeros(PAIRWISE + min(size, step))
+    sums = []
+    for part, start in enumerate(range(0, size, step)):
+        if part:
+            buffer[:PAIRWISE] = buffer[-PAIRWISE:]
+        chunk = values[start : start + step]
+        buffer[PAIRWISE : PAIRWISE + chunk.size] = chunk
+        sums.extend(np.add.reduce(buffer[lo:hi]) for lo, hi in leaves[part])
+    assert len(leaves) == -(-size // step)
+    assert np.float64(_tree_sum(sums, order)).tobytes() == np.add.reduce(values).tobytes()
 
 
 class _FakeRecord:

@@ -8,10 +8,13 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from wavebound import (
+    ConfigError,
     DataError,
     SeriesDataset,
     SplitSpec,
@@ -21,6 +24,7 @@ from wavebound import (
     windowize,
 )
 from wavebound import data
+from wavebound.data import checked_windows
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -74,6 +78,42 @@ def test_window_count_formula(total, input_len, output_len):
         warnings.simplefilter("ignore")
         windows = windowize(segment, input_len, output_len)
     assert len(windows) == max(0, total - input_len - output_len + 1)
+
+
+def window_layouts(values, input_len, output_len):
+    """The same windows of a (T, K) segment in three layouts: windowize's views,
+    their contiguous copies, and as_strided views with equal leading strides
+    over a padded, column-major copy of the segment."""
+    views = windowize(SeriesDataset(values.copy(), ["x"] * values.shape[1]), input_len, output_len)
+    n = len(views)
+    padded = np.asfortranarray(np.concatenate([values, np.zeros((3, values.shape[1]))]))
+    row, col = padded.strides
+    past = as_strided(padded, (n, input_len, values.shape[1]), (row, row, col))
+    future = as_strided(padded[input_len:], (n, output_len, values.shape[1]), (row, row, col))
+    return {
+        "view": (views.past, views.future),
+        "copy": (views.past.copy(), views.future.copy()),
+        "as_strided": (past, future),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3), st.integers(1, 40),
+       st.floats(0, 1, exclude_max=True), st.integers(0, 2),
+       st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_window_check_rejects_any_non_finite_segment_value(
+        input_len, output_len, k, n, where, column, bad):
+    length = n + input_len + output_len - 1
+    values = np.random.default_rng(length).normal(size=(length, k))
+    shapes = (input_len, k), (output_len, k)
+    for layout, windows in window_layouts(values, input_len, output_len).items():
+        past, future = checked_windows("test", *windows, *shapes)
+        assert past.tobytes() == windows[0].tobytes(), layout
+        assert future.tobytes() == windows[1].tobytes(), layout
+    values[int(where * length), column % k] = bad
+    for layout, windows in window_layouts(values, input_len, output_len).items():
+        with pytest.raises(ConfigError, match="^test set contains non-finite values$"):
+            checked_windows("test", *windows, *shapes)
 
 
 # any text without line breaks (or NUL and surrogates, which a utf-8 file

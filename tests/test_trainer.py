@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -444,6 +445,42 @@ class TestSweep:
             assert_same_trajectory(a.result, b.result)
             for params in (b.result.params, b.result.final_mirror.target):
                 assert all(np.shares_memory(t, params.flat) for t in params.tensors())
+
+    def view_sets(self):
+        series = SeriesDataset(Rng(4).normal(size=(400, 1)), ["x"])
+        return [stack_windows(windowize(s, L, M)) for s in split_and_standardize(series, SplitSpec())]
+
+    def test_worker_jobs_carry_segments_not_window_copies(self, monkeypatch):
+        # Each job is pickled, as a process pool does, and run from its copy.
+        sizes = []
+
+        class PicklingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                for job in jobs:
+                    blob = pickle.dumps(job)
+                    sizes.append(len(blob))
+                    yield fn(pickle.loads(blob))
+
+        monkeypatch.setattr(trainer_module.concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        sets = self.view_sets()
+        cfg = make_config(ObjectiveKind.plain(), max_epochs=2)
+        serial = sweep(cfg, "learning_rate", [1e-3, 1e-4], *sets)
+        shipped = sweep(cfg, "learning_rate", [1e-3, 1e-4], *sets, workers=2)
+        for a, b in zip(serial, shipped):
+            assert_same_trajectory(a.result, b.result)
+            assert [m.mae for m in a.result.metrics] == [m.mae for m in b.result.metrics]
+        segment_bytes = 8 * sum(len(p) + L + M - 1 for p, _ in sets)
+        window_bytes = sum(p.size * 8 + f.size * 8 for p, f in sets)
+        assert len(sizes) == 2 and max(sizes) < segment_bytes + 4096 < window_bytes, sizes
 
     def test_rows_ranked_by_validation_mse(self):
         cfg = make_config(ObjectiveKind.plain(), max_epochs=2)
