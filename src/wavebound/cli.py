@@ -280,8 +280,8 @@ def _oracle_instance(cfg: dict) -> OracleInstance:
     )
 
 
-def _prepare_data(cfg: dict):
-    """Config -> stacked (past, future) tuples for train/val/test."""
+def _segments(cfg: dict):
+    """Config -> the standardized train/val/test segments, each long enough for one window."""
     source = cfg["data"]
     if source == "synth":
         dataset = synth_series(cfg["length"], cfg["sigma"], cfg["data_seed"])
@@ -294,16 +294,19 @@ def _prepare_data(cfg: dict):
     if cfg["univariate"] and dataset.n_features > 1:
         dataset = select_feature(dataset, cfg["feature"] or None)
     segments = split_and_standardize(dataset, cfg["ratios"], standardize=cfg["standardize"])
-    sets = []
     for segment in segments:
-        windows = windowize(segment, cfg["input_len"], cfg["output_len"])
-        if not windows:
+        if not windowize(segment, cfg["input_len"], cfg["output_len"]):
             raise DataError(
                 f"segment of length {segment.length} yields no windows for "
                 f"{cfg['input_len']}+{cfg['output_len']}"
             )
-        sets.append(stack_windows(windows))
-    return tuple(sets)
+    return segments
+
+
+def _windows(cfg: dict):
+    """Config -> stacked (past, future) tuples for train/val/test."""
+    lengths = cfg["input_len"], cfg["output_len"]
+    return tuple(stack_windows(windowize(s, *lengths)) for s in _segments(cfg))
 
 
 def cmd_synth(args) -> int:
@@ -323,7 +326,7 @@ def cmd_train(args) -> int:
     text, cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
     config = _train_config(cfg)
     with _outputs(args.out, text) as path:
-        sets = _prepare_data(cfg)
+        sets = _windows(cfg)
         started = time.perf_counter()
         result = train(config, *sets)
         elapsed = time.perf_counter() - started
@@ -360,7 +363,7 @@ def cmd_sweep(args) -> int:
     sweep_configs(config, args.param, values, args.workers)  # a bad grid fails before any data
     with _outputs(args.out, text) as path:
         started = time.perf_counter()
-        rows = sweep(config, args.param, values, *_prepare_data(cfg), workers=args.workers)
+        rows = sweep(config, args.param, values, *_segments(cfg), workers=args.workers)
         elapsed = time.perf_counter() - started
         header = ("rank", "param", "value", "val_mse", "test_mse", "train_mse", "best_epoch")
         write_rows(path("sweep.csv"), header, (
@@ -377,7 +380,7 @@ def cmd_eval(args) -> int:
     text, cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
     with _outputs(args.out, text) as path:
         params, _mirror = checkpoint_load(args.checkpoint)
-        sets = dict(zip(SPLITS, _prepare_data(cfg)))
+        sets = dict(zip(SPLITS, _windows(cfg)))
         n_features = sets["train"][0].shape[2]
         shapes = (cfg["input_len"], n_features), (cfg["output_len"], n_features)
         if (params.input_shape, params.output_shape) != shapes:

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .rng import Rng
@@ -381,30 +381,6 @@ def windowize(segment: SeriesDataset, input_len: int, output_len: int) -> Window
     # (n, K, span) view of the segment, transposed to (n, span, K)
     view = sliding_window_view(values, span, axis=0).transpose(0, 2, 1)
     return WindowSet(view[:, :input_len], view[:, input_len:])
-
-
-def window_segment(past, future) -> np.ndarray | None:
-    """The (n + L + M - 1, K) segment whose stride-1 windows are (past, future), or None.
-
-    It is a read-only view of the windows' memory, found when past and
-    future are float64 (n, L, K) and (n, M, K) arrays whose two leading
-    strides are one row's step and future starts L rows after past, as
-    `windowize` returns them; then `windowize` of its values gives the same
-    windows.  Any other pair gives None.
-    """
-    if not (isinstance(past, np.ndarray) and isinstance(future, np.ndarray)):
-        return None
-    if past.dtype != np.float64 or future.dtype != np.float64 or past.ndim != 3 or future.ndim != 3:
-        return None
-    (n, steps, k), row = past.shape, past.strides[0]
-    if n < 1 or future.shape[0] != n or future.shape[2] != k:
-        return None
-    if past.strides[1] != row or future.strides[:2] != (row, row) or future.strides[2] != past.strides[2]:
-        return None
-    if future.ctypes.data != past.ctypes.data + steps * row:
-        return None
-    return as_strided(past, (n + steps + future.shape[1] - 1, k), (row, past.strides[2]),
-                      writeable=False)
 
 
 def _all_finite(windows: np.ndarray) -> bool:

@@ -134,6 +134,7 @@ def evaluate(params: ModelParams, past: np.ndarray, future: np.ndarray) -> Metri
         sums.extend(np.add.reduce(abs_err[lo:hi]) for lo, hi in leaves[part])
         np.multiply(err, err, out=rows[1 : count + 1])
         rows[0] = np.add.reduce(rows[: count + 1], axis=0)
+        del chunk, err  # so the next chunk's copy and forward do not coexist with these
     per_element = (rows[0] / n).reshape(params.output_shape)
     return MetricRecord(
         mse=float(per_element.mean()),

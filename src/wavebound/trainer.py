@@ -47,7 +47,6 @@ from .data import (
     batch_indices,
     checked_windows,
     stack_windows,
-    window_segment,
     windowize,
     write_rows,
 )
@@ -327,36 +326,11 @@ def _config_with(config: TrainConfig, param: str, value: float) -> TrainConfig:
     raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
 
 
-@dataclass(frozen=True)
-class _ShippedWindows:
-    """A window set as a sweep worker receives it: its segment and window lengths.
-
-    A pickled view is a full contiguous copy, n*(L+M)*K floats; the segment
-    is n+L+M-1 rows, and `windowize` in the worker rebuilds the same windows.
-    """
-
-    segment: np.ndarray
-    input_len: int
-    output_len: int
-
-    def windows(self) -> tuple[np.ndarray, np.ndarray]:
-        names = [str(k) for k in range(self.segment.shape[1])]
-        return stack_windows(windowize(SeriesDataset(self.segment, names), self.input_len, self.output_len))
-
-
-def _shipped(window_set):
-    """The form in which a sweep job carries a set: windowize views as their segment."""
-    if isinstance(window_set, tuple) and len(window_set) == 2:
-        segment = window_segment(*window_set)
-        if segment is not None:
-            past, future = window_set
-            return _ShippedWindows(segment.copy(), past.shape[1], future.shape[1])
-    return window_set
-
-
-def _sweep_point(args) -> TrainResult:
-    config, *sets = args
-    return train(config, *(s.windows() if isinstance(s, _ShippedWindows) else s for s in sets))
+def _sweep_point(job) -> TrainResult:
+    """Train one grid point's config on the windows of the three segments its job carries."""
+    config, *segments = job
+    lengths = config.input_len, config.output_len
+    return train(config, *(stack_windows(windowize(s, *lengths)) for s in segments))
 
 
 def sweep_configs(config: TrainConfig, param: str, values, workers: int = 1) -> list[TrainConfig]:
@@ -377,18 +351,24 @@ def sweep(
     config: TrainConfig,
     param: str,
     values,
-    train_set,
-    val_set,
-    test_set,
+    train_segment: SeriesDataset,
+    val_segment: SeriesDataset,
+    test_segment: SeriesDataset,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """One full train per grid value, same seed; rows ranked by val MSE."""
+    """One full train per grid value, same seed; rows ranked by val MSE.
+
+    Each job is a grid point's config and the three segments that
+    `split_and_standardize` returns; `_sweep_point` windows them with that
+    config's lengths, in this process for one worker and in a process pool
+    for more, so a pool pickles the segments and never their windows.
+    """
     values = list(values)
     configs = sweep_configs(config, param, values, workers)
-    sets = train_set, val_set, test_set
-    if workers > 1:
-        sets = [_shipped(s) for s in sets]
-    jobs = [(c, *sets) for c in configs]
+    segments = train_segment, val_segment, test_segment
+    if not all(isinstance(s, SeriesDataset) for s in segments):
+        raise ConfigError("sweep takes the three SeriesDataset segments of split_and_standardize")
+    jobs = [(c, *segments) for c in configs]
     if workers == 1:
         results = [_sweep_point(j) for j in jobs]
     else:

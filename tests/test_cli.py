@@ -403,6 +403,22 @@ class TestSweep:
         assert code == 2
 
 
+    def test_two_workers_write_the_serial_bytes_on_csv_data(self, tmp_path, capsys):
+        csv_path = tmp_path / "series.csv"
+        assert run_cli(capsys, "synth", "--length", "120", "--out", str(csv_path))[0] == 0
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers_{workers}"
+            code, _, _ = run_cli(
+                capsys, "sweep", "--param", "learning_rate", "--values", "0.001,0.0001",
+                "--workers", workers, "--out", str(out), *SMALL,
+                "--set", "data=csv", "--set", f"csv_path={csv_path}",
+            )
+            assert code == 0
+            outputs.append(read_dir(out))
+        assert sorted(outputs[0]) == ["resolved_config.txt", "sweep.csv"]
+        assert outputs[0] == outputs[1]
+
 class TestTheorem:
     ARGS = ["--set", "trials=200", "--set", "jensen_draws=2"]
 
@@ -678,9 +694,32 @@ class TestSweepGridCheckedFirst:
     ], ids=["b-on-plain", "epsilon-on-flooding", "negative-rate", "no-workers"])
     def test_fails_before_the_data(self, tmp_path, capsys, monkeypatch, args):
         loads = []
-        monkeypatch.setattr("wavebound.cli._prepare_data", lambda cfg: loads.append(cfg))
+        monkeypatch.setattr("wavebound.cli._segments", lambda cfg: loads.append(cfg))
         out = tmp_path / "sweep"
         code, stdout, stderr = run_cli(capsys, "sweep", "--out", str(out), *args, *SMALL)
         assert (code, stdout, loads) == (2, "", [])
         assert stderr.startswith("error: ")
+        assert not out.exists()
+
+
+class TestSegmentWithoutWindows:
+    """A segment shorter than input_len + output_len exits 3 before any output."""
+
+    @pytest.mark.filterwarnings("ignore:segment of length 6 shorter than")
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    def test_short_validation_segment(self, tmp_path, capsys, command):
+        extra = {
+            "train": [],
+            "sweep": ["--param", "learning_rate", "--values", "0.001,0.0001"],
+            "eval": ["--checkpoint", str(tmp_path / "run" / "model.ckpt")],
+        }[command]
+        if command == "eval":
+            assert run_cli(capsys, "train", "--out", str(tmp_path / "run"), *SMALL)[0] == 0
+        out = tmp_path / "out"
+        # 120 rows split 16:1:3 leave 96, 6 and 18; 6 is short of 8 + 4
+        code, stdout, stderr = run_cli(
+            capsys, command, "--out", str(out), *extra, *SMALL, "--set", "ratios=16:1:3"
+        )
+        assert (code, stdout) == (3, "")
+        assert "error: segment of length 6 yields no windows for 8+4\n" in stderr
         assert not out.exists()

@@ -181,11 +181,11 @@ class TestChunkedEvaluate:
         params = chunk_test_model(1, hidden, "source")
         segment = SeriesDataset(Rng(13).normal(size=(16 * CHUNK + 2 * width, 1)), ["x"])
         windows = windowize(segment, width, width)
-        # one chunk: the contiguous past, the hidden states and output (the
-        # last chunk's past and output live on while the next are made), the
-        # squared-error rows and the |err| buffer
-        bound = 8 * (CHUNK * (4 * width + 2 * hidden) + (CHUNK + 1) * width
-                     + PAIRWISE + CHUNK * width) + 2**16
+        # one chunk's arrays: the contiguous past, the two hidden states and
+        # the output, the squared-error rows and the |err| buffer; then 64 KiB
+        # for numpy's 8192-element ufunc buffer and 64 KiB for small objects
+        bound = 8 * (CHUNK * (2 * width + 2 * hidden) + (CHUNK + 1) * width
+                     + PAIRWISE + CHUNK * width) + 2**17
         for n in (2 * CHUNK + 5, 16 * CHUNK + 5):
             past, future = windows.past[:n], windows.future[:n]
             evaluate(params, past, future)  # one-time allocations, the sum's plan among them

@@ -426,29 +426,38 @@ class TestLogExport:
         assert sum(c.startswith("test_mse_step_") for c in header) == M
 
 
+SEGMENTS = split_and_standardize(SeriesDataset(Rng(4).normal(size=(400, 1)), ["x"]), SplitSpec())
+
+
+def segment_windows(segments):
+    return [stack_windows(windowize(s, L, M)) for s in segments]
+
+
+def same_metrics(r1, r2):
+    return [(m.mse, m.mae) for m in r1.metrics] == [(m.mse, m.mae) for m in r2.metrics]
+
+
 class TestSweep:
     def test_singleton_sweep_matches_direct_train(self):
         cfg = make_config(ObjectiveKind.plain())
-        rows = sweep(cfg, "learning_rate", [cfg.learning_rate], *SETS)
-        direct = train(cfg, *SETS)
+        rows = sweep(cfg, "learning_rate", [cfg.learning_rate], *SEGMENTS)
+        direct = train(cfg, *segment_windows(SEGMENTS))
         assert len(rows) == 1
         assert rows[0].val_mse == direct.log.records[direct.best_epoch].val_mse
         assert_same_trajectory(rows[0].result, direct)
+        assert same_metrics(rows[0].result, direct)
 
     def test_worker_processes_match_serial(self):
         # workers > 1 pickles every TrainResult; the params must come back
         # bit-identical and still viewing one buffer each
         cfg = make_config(ObjectiveKind.wave_indiv(0.01), max_epochs=2)
-        serial = sweep(cfg, "learning_rate", [1e-3, 1e-4], *SETS)
-        parallel = sweep(cfg, "learning_rate", [1e-3, 1e-4], *SETS, workers=2)
+        serial = sweep(cfg, "learning_rate", [1e-3, 1e-4], *SEGMENTS)
+        parallel = sweep(cfg, "learning_rate", [1e-3, 1e-4], *SEGMENTS, workers=2)
         for a, b in zip(serial, parallel):
             assert_same_trajectory(a.result, b.result)
+            assert same_metrics(a.result, b.result)
             for params in (b.result.params, b.result.final_mirror.target):
                 assert all(np.shares_memory(t, params.flat) for t in params.tensors())
-
-    def view_sets(self):
-        series = SeriesDataset(Rng(4).normal(size=(400, 1)), ["x"])
-        return [stack_windows(windowize(s, L, M)) for s in split_and_standardize(series, SplitSpec())]
 
     def test_worker_jobs_carry_segments_not_window_copies(self, monkeypatch):
         # Each job is pickled, as a process pool does, and run from its copy.
@@ -471,26 +480,30 @@ class TestSweep:
                     yield fn(pickle.loads(blob))
 
         monkeypatch.setattr(trainer_module.concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-        sets = self.view_sets()
         cfg = make_config(ObjectiveKind.plain(), max_epochs=2)
-        serial = sweep(cfg, "learning_rate", [1e-3, 1e-4], *sets)
-        shipped = sweep(cfg, "learning_rate", [1e-3, 1e-4], *sets, workers=2)
-        for a, b in zip(serial, shipped):
+        serial = sweep(cfg, "learning_rate", [1e-3, 1e-4], *SEGMENTS)
+        pooled = sweep(cfg, "learning_rate", [1e-3, 1e-4], *SEGMENTS, workers=2)
+        for a, b in zip(serial, pooled):
             assert_same_trajectory(a.result, b.result)
-            assert [m.mae for m in a.result.metrics] == [m.mae for m in b.result.metrics]
-        segment_bytes = 8 * sum(len(p) + L + M - 1 for p, _ in sets)
-        window_bytes = sum(p.size * 8 + f.size * 8 for p, f in sets)
+            assert same_metrics(a.result, b.result)
+        segment_bytes = sum(s.values.nbytes for s in SEGMENTS)
+        window_bytes = sum(p.size * 8 + f.size * 8 for p, f in segment_windows(SEGMENTS))
         assert len(sizes) == 2 and max(sizes) < segment_bytes + 4096 < window_bytes, sizes
+
+    def test_window_sets_rejected(self):
+        cfg = make_config(ObjectiveKind.plain())
+        with pytest.raises(ConfigError, match="^sweep takes the three SeriesDataset segments"):
+            sweep(cfg, "learning_rate", [1e-3], *segment_windows(SEGMENTS))
 
     def test_rows_ranked_by_validation_mse(self):
         cfg = make_config(ObjectiveKind.plain(), max_epochs=2)
-        rows = sweep(cfg, "learning_rate", [1e-5, 1e-3, 1e-4], *SETS)
+        rows = sweep(cfg, "learning_rate", [1e-5, 1e-3, 1e-4], *SEGMENTS)
         assert [r.val_mse for r in rows] == sorted(r.val_mse for r in rows)
         assert {r.value for r in rows} == {1e-5, 1e-3, 1e-4}
 
     def test_row_metrics_come_from_best_epoch(self):
         cfg = make_config(ObjectiveKind.flooding(0.05), max_epochs=3)
-        rows = sweep(cfg, "b", [0.0, 0.05], *SETS)
+        rows = sweep(cfg, "b", [0.0, 0.05], *SEGMENTS)
         for row in rows:
             rec = row.result.log.records[row.result.best_epoch]
             assert (row.val_mse, row.test_mse, row.train_mse) == (
@@ -502,15 +515,15 @@ class TestSweep:
     def test_param_objective_compatibility(self):
         plain_cfg = make_config(ObjectiveKind.plain())
         with pytest.raises(ConfigError):
-            sweep(plain_cfg, "b", [0.1], *SETS)
+            sweep(plain_cfg, "b", [0.1], *SEGMENTS)
         with pytest.raises(ConfigError):
-            sweep(plain_cfg, "epsilon", [0.01], *SETS)
+            sweep(plain_cfg, "epsilon", [0.01], *SEGMENTS)
         with pytest.raises(ConfigError):
-            sweep(plain_cfg, "hidden_dim", [8], *SETS)
+            sweep(plain_cfg, "hidden_dim", [8], *SEGMENTS)
         with pytest.raises(ConfigError):
-            sweep(plain_cfg, "learning_rate", [], *SETS)
+            sweep(plain_cfg, "learning_rate", [], *SEGMENTS)
 
     def test_epsilon_sweep_updates_objective(self):
         cfg = make_config(ObjectiveKind.wave_indiv(0.01), max_epochs=1)
-        rows = sweep(cfg, "epsilon", [0.01, 0.001], *SETS)
+        rows = sweep(cfg, "epsilon", [0.01, 0.001], *SEGMENTS)
         assert len(rows) == 2
