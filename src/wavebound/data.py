@@ -66,6 +66,10 @@ class SeriesDataset:
             raise DataError("std entries must be positive")
         self.values.setflags(write=False)
 
+    def __reduce__(self):
+        # Rebuild through the constructor, which checks and freezes the values.
+        return (SeriesDataset, (self.values, self.feature_names, self.mean, self.std))
+
     @property
     def length(self) -> int:
         return self.values.shape[0]
@@ -218,10 +222,18 @@ def _not_utf8(path) -> DataError:
 
 
 def _csv_records(fh, path):
-    """csv.reader over fh, its csv.Error raised as a DataError that names the row."""
+    """csv.reader over fh as (first file line, record) pairs.
+
+    A quoted cell may hold newlines, so a record's first line is one past
+    the reader's `line_num` after the record before.  A csv.Error is raised
+    as a DataError that names the row.
+    """
     reader = csv.reader(fh)
     try:
-        yield from reader
+        first = 1
+        for record in reader:
+            yield first, record
+            first = reader.line_num + 1
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
 
@@ -237,13 +249,13 @@ def _load_csv_rows(path) -> SeriesDataset:
     with fh:
         reader = _csv_records(fh, path)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty dataset") from None
         if len(header) < 2:
             raise DataError(f"{path}: need a timestamp column plus at least one feature")
         width = len(header)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row:
                 continue
             if len(row) != width:

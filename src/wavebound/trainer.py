@@ -92,6 +92,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
         if not np.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be finite, got {self.learning_rate!r}")
+        if not 0.0 <= self.ema_decay <= 1.0:  # NaN fails too
+            raise ConfigError(f"ema_decay must lie in [0, 1], got {self.ema_decay!r}")
         if self.frozen_target_risk is not None and not np.isfinite(self.frozen_target_risk):
             raise ConfigError(f"frozen_target_risk must be finite, got {self.frozen_target_risk!r}")
         if self.max_epochs < 1:

@@ -702,6 +702,23 @@ class TestSweepGridCheckedFirst:
         assert not out.exists()
 
 
+class TestEmaDecayCheckedFirst:
+    """A decay outside [0, 1] exits 2 and names ema_decay before the data is read."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("decay", ["1.5", "-0.5", "nan"])
+    def test_fails_before_the_data(self, tmp_path, capsys, command, decay):
+        extra = ["--param", "learning_rate", "--values", "0.001"] if command == "sweep" else []
+        out = tmp_path / "fresh"
+        code, stdout, stderr = run_cli(
+            capsys, command, "--out", str(out), *extra, *SMALL, "--set", f"ema_decay={decay}",
+            "--set", "data=csv", "--set", f"csv_path={tmp_path / 'no.csv'}",
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: ema_decay must lie in [0, 1], got {float(decay)!r}\n"
+        assert not out.exists()
+
+
 class TestSegmentWithoutWindows:
     """A segment shorter than input_len + output_len exits 3 before any output."""
 

@@ -1,4 +1,5 @@
 import csv
+import pickle
 import tracemalloc
 import warnings
 
@@ -56,6 +57,17 @@ class TestSynthSeries:
             synth_series(0, 0.5, 0)
         with pytest.raises(ConfigError):
             synth_series(10, -0.1, 0)
+
+
+def test_pickled_dataset_keeps_its_values_frozen():
+    # A sweep pool pickles its segments; the copy must be as read-only.
+    ds = SeriesDataset(synth_series(10, 0.5, 1).values * 2.0 + 1.0, ["x"],
+                       mean=np.array([1.0]), std=np.array([2.0]))
+    copy = pickle.loads(pickle.dumps(ds))
+    assert not copy.values.flags.writeable
+    assert copy.values.tobytes() == ds.values.tobytes()
+    assert copy.feature_names == ["x"]
+    assert np.array_equal(copy.mean, ds.mean) and np.array_equal(copy.std, ds.std)
 
 
 class TestLoadCsv:
@@ -134,6 +146,20 @@ class TestLoadCsv:
             DataError, match=rf"series\.csv: row 4, column 3: non-finite value {cell}$"
         ):
             load_csv(path)
+
+    # A quoted cell holds a newline, so every record after it starts one
+    # file line further on than its record count says.
+    def test_unparseable_cell_after_a_quoted_newline_names_its_file_line(self, tmp_path):
+        path = self.write(tmp_path, 'date,x\n"a\nb",1.0\n2,abc\n')
+        with pytest.raises(DataError) as raised:
+            load_csv(path)
+        assert str(raised.value) == f"{path}: row 4, column 2: cannot parse 'abc' as a number"
+
+    def test_non_finite_cell_after_a_quoted_newline_names_its_file_line(self, tmp_path):
+        path = self.write(tmp_path, 'date,x\n"a\nb",1.0\n\n2,nan\n')
+        with pytest.raises(DataError) as raised:
+            load_csv(path)
+        assert str(raised.value) == f"{path}: row 5, column 2: non-finite value nan"
 
     def test_ragged_row_rejected(self, tmp_path):
         path = self.write(tmp_path, "date,a,b\nx,1.0,2.0\ny,3.0\n")

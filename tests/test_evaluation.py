@@ -2,8 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import wavebound.evaluation as evaluation_module
 from wavebound import (
@@ -19,7 +17,7 @@ from wavebound import (
     windowize,
 )
 from wavebound.ema import ema_init, ema_update
-from wavebound.evaluation import CHUNK, PAIRWISE, MetricRecord, _sum_plan, _tree_sum
+from wavebound.evaluation import CHUNK, MetricRecord
 
 
 def linear_model(weight, bias, input_shape, output_shape):
@@ -118,7 +116,7 @@ def full_set_evaluate(params, past, future):
     per_element = (err * err).mean(axis=0)
     return MetricRecord(
         mse=float(per_element.mean()),
-        mae=float(np.abs(err).mean()),
+        mae=float(np.abs(err).mean(axis=0).mean()),
         per_step_mse=per_element.mean(axis=1),
         per_element_mse=per_element,
         sample_count=past.shape[0],
@@ -162,7 +160,7 @@ class TestChunkedEvaluate:
         assert got.sample_count == n
 
     def test_bit_identical_on_a_long_set(self):
-        # 40 chunks: many chunk boundaries cut numpy's pairwise tree of |err|
+        # 40 chunks: the running totals cross 39 chunk boundaries
         n = 20_000
         params = chunk_test_model(1, 16, "target")
         rng = Rng(14)
@@ -182,13 +180,12 @@ class TestChunkedEvaluate:
         segment = SeriesDataset(Rng(13).normal(size=(16 * CHUNK + 2 * width, 1)), ["x"])
         windows = windowize(segment, width, width)
         # one chunk's arrays: the contiguous past, the two hidden states and
-        # the output, the squared-error rows and the |err| buffer; then 64 KiB
-        # for numpy's 8192-element ufunc buffer and 64 KiB for small objects
-        bound = 8 * (CHUNK * (2 * width + 2 * hidden) + (CHUNK + 1) * width
-                     + PAIRWISE + CHUNK * width) + 2**17
+        # the output, the squared- and absolute-error rows; then 64 KiB for
+        # numpy's 8192-element ufunc buffer and 64 KiB for small objects
+        bound = 8 * (CHUNK * (2 * width + 2 * hidden) + 2 * (CHUNK + 1) * width) + 2**17
         for n in (2 * CHUNK + 5, 16 * CHUNK + 5):
             past, future = windows.past[:n], windows.future[:n]
-            evaluate(params, past, future)  # one-time allocations, the sum's plan among them
+            evaluate(params, past, future)  # one-time allocations
             tracemalloc.start()
             try:
                 evaluate(params, past, future)
@@ -217,26 +214,6 @@ class TestChunkedEvaluate:
         params = chunk_test_model(1, 64, "source")
         with pytest.raises(ConfigError, match=r"^evaluation set .*\(90, 1\)/\(96, 1\) do not match \(96, 1\)/\(96, 1\)$"):
             evaluate(params, np.zeros((4, 90, 1)), np.zeros((4, 96, 1)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 100_000), st.integers(PAIRWISE, 5_000), st.integers(0, 2**32 - 1))
-def test_streamed_sum_is_numpys_pairwise_sum(size, step, seed):
-    # The values arrive step at a time into a buffer that keeps the last
-    # PAIRWISE values of the part before, as in evaluate.
-    rng = np.random.default_rng(seed)
-    values = rng.random(size) * 10.0 ** rng.uniform(-8, 8, size)
-    leaves, order = _sum_plan(size, step)
-    buffer = np.zeros(PAIRWISE + min(size, step))
-    sums = []
-    for part, start in enumerate(range(0, size, step)):
-        if part:
-            buffer[:PAIRWISE] = buffer[-PAIRWISE:]
-        chunk = values[start : start + step]
-        buffer[PAIRWISE : PAIRWISE + chunk.size] = chunk
-        sums.extend(np.add.reduce(buffer[lo:hi]) for lo, hi in leaves[part])
-    assert len(leaves) == -(-size // step)
-    assert np.float64(_tree_sum(sums, order)).tobytes() == np.add.reduce(values).tobytes()
 
 
 class _FakeRecord:

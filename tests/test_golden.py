@@ -8,6 +8,9 @@ change (noted in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints each (case, file) whose hash moved against the committed
+record, and how many held.
+
 BLAS kernels and SIMD `tanh` round differently across builds and CPUs, so
 the hashes hold only on the host they were recorded on.  Elsewhere every
 test here skips and names what differs.
@@ -204,7 +207,26 @@ def test_outputs_match_golden_fingerprints(case, golden, tmp_path):
     assert CASES[case](tmp_path) == golden[case]
 
 
+def moved(old: dict, new: dict) -> tuple[list, int]:
+    """The (case, file) pairs whose hash differs between two records, and how many held."""
+    pairs = sorted({(case, name) for record in (old, new) for case in record
+                    for name in record[case]})
+    changed = [pair for pair in pairs
+               if old.get(pair[0], {}).get(pair[1]) != new.get(pair[0], {}).get(pair[1])]
+    return changed, len(pairs) - len(changed)
+
+
+def test_moved_names_every_changed_added_and_dropped_file():
+    old = {"a": {"x": "1", "y": "2"}, "b": {"z": "3"}}
+    new = {"a": {"x": "1", "y": "9"}, "c": {"z": "3"}}
+    assert moved(old, new) == ([("a", "y"), ("b", "z"), ("c", "z")], 1)
+
+
 def record() -> None:
+    """Re-record every fingerprint and print what moved against the committed ones."""
+    old = {}
+    if GOLDEN_PATH.exists():
+        old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["hashes"]
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
@@ -213,7 +235,11 @@ def record() -> None:
             hashes[name] = CASES[name](case_dir)
     payload = {"host": host(), "hashes": hashes}
     GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(hashes)} fingerprints to {GOLDEN_PATH}")
+    changed, held = moved(old, hashes)
+    for case, name in changed:
+        print(f"moved: {case} {name}")
+    print(f"wrote {len(hashes)} fingerprints to {GOLDEN_PATH}: "
+          f"{len(changed)} files moved, {held} held")
 
 
 if __name__ == "__main__":

@@ -91,6 +91,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="frozen_target_risk must be finite"):
             make_config(ObjectiveKind.wave_indiv(0.01), frozen_target_risk=risk)
 
+    @pytest.mark.parametrize("decay", [-0.1, 1.5, float("nan")])
+    def test_ema_decay_outside_unit_interval_rejected(self, decay):
+        with pytest.raises(ConfigError, match=r"^ema_decay must lie in \[0, 1\], got "):
+            make_config(ObjectiveKind.plain(), ema_decay=decay)
+
+    @pytest.mark.parametrize("decay", [0.0, 1.0])
+    def test_ema_decay_at_either_end_allowed(self, decay):
+        make_config(ObjectiveKind.plain(), ema_decay=decay)
+
     def test_negative_frozen_target_risk_allowed(self):
         # bounds may be negative (objectives.py), so a negative frozen risk is legal
         make_config(ObjectiveKind.wave_indiv(0.01), frozen_target_risk=-0.5)
