@@ -39,7 +39,7 @@ from .errors import ConfigError
 from .objectives import _mean_squares, flood_elementwise, wave_elementwise
 from .rng import Rng
 
-CHUNK = 128  # oracle trials scored together: bounds the working set, not the streams
+CHUNK = 128  # oracle trials drawn and scored together: bounds the working set
 
 
 def _all_finite(*arrays: np.ndarray) -> bool:
@@ -133,8 +133,6 @@ class OracleInstance:
             raise ConfigError("n_samples must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.trials > 2**32:  # a trial's index must be one uint32 word of its stream key
-            raise ConfigError(f"trials must be <= 2**32, got {self.trials}")
         if not 0 < self.margin_alpha < np.inf:
             raise ConfigError(f"margin_alpha must be finite and > 0, got {self.margin_alpha!r}")
 
@@ -192,10 +190,14 @@ def run_estimator_experiment(instance: OracleInstance) -> OracleReport:
 
     Per trial: draw a fresh training set, form both pooled estimates, and
     accumulate squared deviations from the true risk.  Per-trial statistics
-    feed the Monte-Carlo standard errors.  Trial t draws from the stream
-    `Rng(seed, ("oracle",)).split("trial", t)`: its first n*M*K normals
-    give x, as `sample` would, and the next n*M*K give the noise.  Trials
-    run CHUNK at a time, each statistic reduced in the per-trial order.
+    feed the Monte-Carlo standard errors.  All trials draw from the one
+    stream `Rng(seed, ("oracle",))`, trial t taking its t-th block of
+    2*n*M*K normals: the first n*M*K give x and the next n*M*K the noise,
+    exactly what the t-th `sample(population, n, rng)` on that stream
+    draws.  Trials run CHUNK at a time, one draw per chunk, each statistic
+    reduced in the per-trial order; a stream hands out its normals in
+    order, so the chunking never changes a trial and a T-trial run is the
+    start of every longer one.
     """
     pop = instance.population
     m, k = pop.shape
@@ -214,8 +216,7 @@ def run_estimator_experiment(instance: OracleInstance) -> OracleReport:
 
     for lo in range(0, trials, CHUNK):
         hi = min(lo + CHUNK, trials)
-        draws = rng.split_normals("trial", range(lo, hi), 2 * n * m * k)
-        draws = draws.reshape(hi - lo, 2, n, m, k)
+        draws = rng.normal(size=(hi - lo, 2, n, m, k))
         x, y = draws[:, 0], draws[:, 1]  # views: y holds the noise z until it is scaled
         _joint(pop, x, y)  # in place, so one chunk holds one copy of its draws
         # (chunk, M*K): a row mean sums the M*K risks as a trial's .mean() does

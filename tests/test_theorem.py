@@ -110,7 +110,7 @@ class TestEstimatorExperiment:
         assert report.mse_plain == report.mse_wave
 
     def test_reference_instance_satisfies_claim(self):
-        report = run_estimator_experiment(reference_instance(trials=2000))
+        report = run_estimator_experiment(reference_instance(trials=20000))
         assert report.condition_b_violation_rate <= 0.01
         assert report.mse_wave <= report.mse_plain
         assert report.mse_diff - 3 * report.se_mse_diff > 0
@@ -152,16 +152,14 @@ class TestEstimatorExperiment:
             {"epsilon": -0.1},
             {"n_samples": 0},
             {"trials": 0},
-            {"trials": 2**32 + 1},  # trial indices must fit one uint32 word
             {"margin_alpha": 0.0},
         ):
             with pytest.raises(ConfigError):
                 OracleInstance(**{**good, **bad})
-        OracleInstance(**{**good, "trials": 2**32})
 
 
 def per_trial_estimator(instance: OracleInstance) -> OracleReport:
-    """The estimator as one loop pass per trial, each from its own `Rng.split` stream.
+    """The estimator as one loop pass per trial, each a `sample` call on the one stream.
 
     This is the form the chunked `run_estimator_experiment` replaced; it
     stays here as the reference that the chunked form must match bit for bit.
@@ -184,8 +182,7 @@ def per_trial_estimator(instance: OracleInstance) -> OracleReport:
         return (err * err).mean(axis=0)
 
     for t in range(trials):
-        r = rng.split("trial", t)
-        x, y = sample(pop, instance.n_samples, r)
+        x, y = sample(pop, instance.n_samples, rng)
         risk_g = risks(predict(instance.g, x), y)
         risk_gs = risks(predict(instance.g_star, x), y)
         plain_est = risk_g.mean()
