@@ -362,8 +362,9 @@ def sweep(
 
     Each job is a grid point's config and the three segments that
     `split_and_standardize` returns; `_sweep_point` windows them with that
-    config's lengths, in this process for one worker and in a process pool
-    for more, so a pool pickles the segments and never their windows.
+    config's lengths, in this process for one worker or one job and in a
+    process pool of at most one worker per job otherwise, so a pool pickles
+    the segments and never their windows.
     """
     values = list(values)
     configs = sweep_configs(config, param, values, workers)
@@ -371,6 +372,7 @@ def sweep(
     if not all(isinstance(s, SeriesDataset) for s in segments):
         raise ConfigError("sweep takes the three SeriesDataset segments of split_and_standardize")
     jobs = [(c, *segments) for c in configs]
+    workers = min(workers, len(jobs))  # a pool forks all its workers at the first submit
     if workers == 1:
         results = [_sweep_point(j) for j in jobs]
     else:

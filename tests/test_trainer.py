@@ -499,6 +499,31 @@ class TestSweep:
         window_bytes = sum(p.size * 8 + f.size * 8 for p, f in segment_windows(SEGMENTS))
         assert len(sizes) == 2 and max(sizes) < segment_bytes + 4096 < window_bytes, sizes
 
+    def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
+        # A pool forks all of its workers at the first submit, so asking for
+        # more workers than grid points must not ask the pool for them.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(trainer_module.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = make_config(ObjectiveKind.plain(), max_epochs=1)
+        assert len(sweep(cfg, "learning_rate", [1e-3, 1e-4], *SEGMENTS, workers=3)) == 2
+        assert pools == [2]
+        assert len(sweep(cfg, "learning_rate", [1e-3], *SEGMENTS, workers=3)) == 1
+        assert pools == [2]  # one job runs in this process, with no pool
+
     def test_window_sets_rejected(self):
         cfg = make_config(ObjectiveKind.plain())
         with pytest.raises(ConfigError, match="^sweep takes the three SeriesDataset segments"):
