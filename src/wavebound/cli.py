@@ -282,6 +282,8 @@ def _oracle_instance(cfg: dict) -> OracleInstance:
 
 def _segments(cfg: dict):
     """Config -> the standardized train/val/test segments, each long enough for one window."""
+    if cfg["feature"] and not cfg["univariate"]:
+        raise ConfigError(f"feature={cfg['feature']} selects one column; it needs univariate=true")
     source = cfg["data"]
     if source == "synth":
         dataset = synth_series(cfg["length"], cfg["sigma"], cfg["data_seed"])
@@ -291,7 +293,7 @@ def _segments(cfg: dict):
         dataset = load_csv(cfg["csv_path"])
     else:
         raise ConfigError(f"data must be 'synth' or 'csv', got {source!r}")
-    if cfg["univariate"] and dataset.n_features > 1:
+    if cfg["univariate"] and (cfg["feature"] or dataset.n_features > 1):
         dataset = select_feature(dataset, cfg["feature"] or None)
     segments = split_and_standardize(dataset, cfg["ratios"], standardize=cfg["standardize"])
     for segment in segments:

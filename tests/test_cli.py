@@ -740,3 +740,61 @@ class TestSegmentWithoutWindows:
         assert (code, stdout) == (3, "")
         assert "error: segment of length 6 yields no windows for 8+4\n" in stderr
         assert not out.exists()
+
+
+class TestFeatureSelection:
+    """`feature` names a column of the data whatever its width, and needs univariate=true."""
+
+    @staticmethod
+    def one_column_csv(tmp_path):
+        path = tmp_path / "series.csv"
+        rows = [f"{i},{math.sin(i / 5.0)!r}" for i in range(120)]
+        path.write_text("date,x\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def earlier_run(tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metrics.csv").write_text("earlier\n", encoding="utf-8")
+        return out
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_unknown_feature_of_one_column_is_data_error(self, tmp_path, capsys, command):
+        extra = ["--param", "learning_rate", "--values", "0.001"] if command == "sweep" else []
+        csv, out = self.one_column_csv(tmp_path), self.earlier_run(tmp_path)
+        code, stdout, stderr = run_cli(
+            capsys, command, "--out", str(out), *extra, *SMALL,
+            "--set", "data=csv", "--set", f"csv_path={csv}", "--set", "feature=nope",
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr == "error: unknown feature 'nope'; available: ['x']\n"
+        assert read_dir(out) == {"metrics.csv": b"earlier\n"}
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("data", ["synth", "csv"])
+    def test_feature_without_univariate_is_config_error(self, tmp_path, capsys, command, data):
+        extra = ["--param", "learning_rate", "--values", "0.001"] if command == "sweep" else []
+        csv, out = self.one_column_csv(tmp_path), self.earlier_run(tmp_path)
+        code, stdout, stderr = run_cli(
+            capsys, command, "--out", str(out), *extra, *SMALL, "--set", f"data={data}",
+            "--set", f"csv_path={csv}", "--set", "feature=x", "--set", "univariate=false",
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: feature=x selects one column; it needs univariate=true\n"
+        assert read_dir(out) == {"metrics.csv": b"earlier\n"}
+
+    def test_matching_feature_of_one_column_writes_the_same_bytes(self, tmp_path, capsys):
+        csv = self.one_column_csv(tmp_path)
+        outputs = []
+        for feature in ("", "x"):
+            out = tmp_path / f"feature-{feature}"
+            code, _, _ = run_cli(
+                capsys, "train", "--out", str(out), *SMALL,
+                "--set", "data=csv", "--set", f"csv_path={csv}", "--set", f"feature={feature}",
+            )
+            assert code == 0
+            files = read_dir(out)
+            del files["resolved_config.txt"]  # it records the feature key as given
+            outputs.append(files)
+        assert outputs[0] == outputs[1]
