@@ -17,6 +17,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import io
 import os
@@ -127,6 +128,8 @@ def _load_config_file(path) -> dict[str, str]:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    # A leading BOM is dropped from the bytes, so error offsets still index raw.
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

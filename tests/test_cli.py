@@ -514,6 +514,26 @@ class TestMalformedConfig:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "theorem"])
+    def test_config_file_with_a_bom_parses(self, tmp_path, capsys, command):
+        config = tmp_path / "bom.cfg"
+        config.write_bytes(b"\xef\xbb\xbfseed=3\n")
+        out = tmp_path / "out"
+        args = [*SMALL, "--set", "max_epochs=1"] if command == "train" else ["--set", "trials=10"]
+        code, _, stderr = run_cli(capsys, command, "--config", str(config), "--out", str(out), *args)
+        assert code == 0, stderr
+        assert "seed=3\n" in (out / "resolved_config.txt").read_text(encoding="utf-8")
+
+    def test_config_file_with_a_bom_not_utf8_names_line_and_bytes(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xef\xbb\xbf# comment\nseed=1\nseed=\xff\xfe\n")
+        out = tmp_path / "fresh"
+        code, stdout, stderr = run_cli(capsys, "train", "--config", str(config), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {config}:3: cannot decode b'\\xff' as utf-8\n"
+        assert not out.exists()
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("error,code", [
         (ConfigError, 2), (DataError, 3), (OSError, 3), (NumericError, 4), (WaveboundError, 1),
