@@ -190,14 +190,11 @@ def run_estimator_experiment(instance: OracleInstance) -> OracleReport:
 
     Per trial: draw a fresh training set, form both pooled estimates, and
     accumulate squared deviations from the true risk.  Per-trial statistics
-    feed the Monte-Carlo standard errors.  All trials draw from the one
-    stream `Rng(seed, ("oracle",))`, trial t taking its t-th block of
-    2*n*M*K normals: the first n*M*K give x and the next n*M*K the noise,
-    exactly what the t-th `sample(population, n, rng)` on that stream
-    draws.  Trials run CHUNK at a time, one draw per chunk, each statistic
-    reduced in the per-trial order; a stream hands out its normals in
-    order, so the chunking never changes a trial and a T-trial run is the
-    start of every longer one.
+    feed the Monte-Carlo standard errors.  Trial t takes the t-th block of
+    2*n*M*K normals of the one stream `Rng(seed, ("oracle",))`, x first and
+    then the noise: what the t-th `sample(population, n, rng)` call draws.
+    Trials run CHUNK at a time, one draw per chunk, each statistic reduced
+    in the per-trial order.
     """
     pop = instance.population
     m, k = pop.shape
