@@ -32,13 +32,22 @@ def _key_part(part) -> int:
     return value
 
 
+def _check_integer(name: str, value, low: int = 0) -> int:
+    """value as an int; ConfigError unless it is a Python or numpy integer >= low.
+
+    A bool is refused: it is an int to Python, but never a count or a seed.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        what = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 class Rng:
     """Deterministic random stream: PCG64 keyed by (seed, spawn_key)."""
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        self.seed = _check_integer("seed", seed)
         self.spawn_key = tuple(_key_part(k) for k in spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(seq))

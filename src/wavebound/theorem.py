@@ -37,7 +37,7 @@ import numpy as np
 from .data import atomic_open, batch_indices
 from .errors import ConfigError
 from .objectives import _mean_squares, flood_elementwise, wave_elementwise
-from .rng import Rng
+from .rng import Rng, _check_integer
 
 CHUNK = 128  # oracle trials drawn and scored together: bounds the working set
 
@@ -78,11 +78,11 @@ class LinearGaussianPopulation:
         return self.true_map.shape
 
 
-def _joint(population: LinearGaussianPopulation, x: np.ndarray, z: np.ndarray) -> None:
+def _joint(x: np.ndarray, z: np.ndarray, input_std, true_map, noise_std) -> None:
     """Standard normals to a joint sample in place: x *= input_std, z = true_map*x + noise_std*z."""
-    x *= population.input_std
-    z *= population.noise_std
-    z += population.true_map * x
+    x *= input_std
+    z *= noise_std
+    z += true_map * x
 
 
 def sample(population: LinearGaussianPopulation, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +90,7 @@ def sample(population: LinearGaussianPopulation, n: int, rng: Rng) -> tuple[np.n
     m, k = population.shape
     x = rng.normal(size=(n, m, k))
     y = rng.normal(size=(n, m, k))
-    _joint(population, x, y)
+    _joint(x, y, population.input_std, population.true_map, population.noise_std)
     return x, y
 
 
@@ -129,10 +129,9 @@ class OracleInstance:
             raise ConfigError("predictor coefficients must be finite")
         if not self.epsilon >= 0:  # NaN fails too; epsilon = +inf stays legal
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        _check_integer("n_samples", self.n_samples, 1)
+        _check_integer("trials", self.trials, 1)
+        _check_integer("seed", self.seed)
         if not 0 < self.margin_alpha < np.inf:
             raise ConfigError(f"margin_alpha must be finite and > 0, got {self.margin_alpha!r}")
 
@@ -185,6 +184,20 @@ def _squares(values: np.ndarray) -> list[float]:
     return [v**2 for v in values.tolist()]
 
 
+def _risk_rows(err: np.ndarray) -> np.ndarray:
+    """(n, M*K, c) errors, trials last, to (c, M*K) contiguous rows of mean squares.
+
+    Each sum over n runs in the order of one trial's (err * err).mean(axis=0)
+    over its (n, M, K) block: row by row when M*K > 1, which a reduce over
+    axis 0 repeats; pairwise along n when M*K == 1, which only a reduce along
+    a contiguous axis repeats.
+    """
+    n, mk, c = err.shape
+    if mk == 1:
+        return _mean_squares(np.ascontiguousarray(err.reshape(n, c).T), axis=1)[:, None]
+    return np.ascontiguousarray(_mean_squares(err, axis=0).T)
+
+
 def run_estimator_experiment(instance: OracleInstance) -> OracleReport:
     """Estimate MSEs of the plain and flooded risk estimators by simulation.
 
@@ -195,6 +208,13 @@ def run_estimator_experiment(instance: OracleInstance) -> OracleReport:
     then the noise: what the t-th `sample(population, n, rng)` call draws.
     Trials run CHUNK at a time, one draw per chunk, each statistic reduced
     in the per-trial order.
+
+    The chunk's draw is copied once into a trials-last (2, n, M*K, chunk)
+    layout, with the parameters as (M*K, 1) columns, so every ufunc up to
+    the per-element risks runs over M*K*chunk-element inner loops.  Each
+    sum over n keeps a trial's order (see `_risk_rows`), and the risks go
+    back to one contiguous row per trial before the per-trial means,
+    which numpy sums pairwise once M*K >= 8.
     """
     pop = instance.population
     m, k = pop.shape
@@ -211,14 +231,20 @@ def run_estimator_experiment(instance: OracleInstance) -> OracleReport:
     condition_b_violations = 0
     flips = 0
 
+    # (M*K, 1) columns broadcast along the trial axis, which is innermost
+    g, g_star, true_map, noise_std = (
+        a.reshape(-1, 1) for a in (instance.g, instance.g_star, pop.true_map, pop.noise_std)
+    )
     for lo in range(0, trials, CHUNK):
         hi = min(lo + CHUNK, trials)
-        draws = rng.normal(size=(hi - lo, 2, n, m, k))
-        x, y = draws[:, 0], draws[:, 1]  # views: y holds the noise z until it is scaled
-        _joint(pop, x, y)  # in place, so one chunk holds one copy of its draws
+        draws = rng.normal(size=(hi - lo, 2 * n * m * k))
+        # one copy to (2, n, M*K, chunk); x and y are its halves, y holding the noise z
+        x, y = draws.T.copy().reshape(2, n, m * k, hi - lo)
+        del draws  # one copy of the chunk's draws at a time
+        _joint(x, y, pop.input_std, true_map, noise_std)
         # (chunk, M*K): a row mean sums the M*K risks as a trial's .mean() does
-        risk_g = _mean_squares(predict(instance.g, x) - y, axis=1).reshape(hi - lo, -1)
-        risk_gs = _mean_squares(predict(instance.g_star, x) - y, axis=1).reshape(hi - lo, -1)
+        risk_g = _risk_rows(g * x - y)
+        risk_gs = _risk_rows(g_star * x - y)
         wave = wave_elementwise(risk_g, risk_gs, eps)
         d_plain[lo:hi] = _squares(risk_g.mean(axis=1) - truth)
         d_wave[lo:hi] = _squares(wave.mean(axis=1) - truth)
@@ -255,6 +281,28 @@ def run_estimator_experiment(instance: OracleInstance) -> OracleReport:
     )
 
 
+def _jensen_sides(source_pred, target_pred, targets, sizes: list[int], epsilon, flood_b):
+    """Both sides of both batch-mean bounds: per element (lhs, rhs), then the flooded scalars."""
+    weights = np.array(sizes, dtype=np.float64) / sum(sizes)
+    src, tgt = [], []
+    start = 0
+    for size in sizes:
+        stop = start + size
+        src.append(_mean_squares(source_pred[start:stop] - targets[start:stop]))
+        tgt.append(_mean_squares(target_pred[start:stop] - targets[start:stop]))
+        start = stop
+    src = np.stack(src).reshape(len(sizes), -1)  # (T, M*K): a row mean is one batch's .mean()
+    tgt = np.stack(tgt).reshape(len(sizes), -1)
+    pooled_src = np.dot(weights, src)
+
+    lhs = wave_elementwise(pooled_src, np.dot(weights, tgt), epsilon)
+    rhs = np.dot(weights, wave_elementwise(src, tgt, epsilon))
+    lhs_flood = float(flood_elementwise(pooled_src.mean(), flood_b))
+    flooded = flood_elementwise(src.mean(axis=1), flood_b)
+    rhs_flood = sum(w * f for w, f in zip(weights.tolist(), flooded.tolist()))
+    return lhs, rhs, lhs_flood, rhs_flood
+
+
 def jensen_violations(
     source_pred: np.ndarray,
     target_pred: np.ndarray,
@@ -276,30 +324,10 @@ def jensen_violations(
     sizes = [int(s) for s in sizes]
     if min(sizes, default=0) < 1 or sum(sizes) != source_pred.shape[0]:
         raise ConfigError(f"partition {sizes} does not cover {source_pred.shape[0]} samples")
-    weights = np.array(sizes, dtype=np.float64) / sum(sizes)
-    src, tgt = [], []
-    start = 0
-    for size in sizes:
-        stop = start + size
-        src.append(_mean_squares(source_pred[start:stop] - targets[start:stop]))
-        tgt.append(_mean_squares(target_pred[start:stop] - targets[start:stop]))
-        start = stop
-    src = np.stack(src)  # (T, M, K)
-    tgt = np.stack(tgt)
-    pooled_src = np.tensordot(weights, src, axes=1)
-    pooled_tgt = np.tensordot(weights, tgt, axes=1)
-
-    lhs = wave_elementwise(pooled_src, pooled_tgt, epsilon)
-    rhs = np.tensordot(weights, wave_elementwise(src, tgt, epsilon), axes=1)
-    count = int(np.count_nonzero(lhs > rhs + tol))
-
-    lhs_flood = float(flood_elementwise(pooled_src.mean(), flood_b))
-    rhs_flood = float(
-        sum(w * float(flood_elementwise(s.mean(), flood_b)) for w, s in zip(weights, src))
+    lhs, rhs, lhs_flood, rhs_flood = _jensen_sides(
+        source_pred, target_pred, targets, sizes, epsilon, flood_b
     )
-    if lhs_flood > rhs_flood + tol:
-        count += 1
-    return count
+    return int(np.count_nonzero(lhs > rhs + tol)) + int(lhs_flood > rhs_flood + tol)
 
 
 def jensen_audit(
@@ -343,8 +371,7 @@ def reference_instance(trials: int = 20000, seed: int = 2024) -> OracleInstance:
 
 def run_full_oracle(instance: OracleInstance, jensen_draws: int = 10) -> OracleReport:
     """Estimator experiment plus randomized batch-mean bound audits."""
-    if jensen_draws < 0:
-        raise ConfigError(f"jensen_draws must be >= 0, got {jensen_draws}")
+    _check_integer("jensen_draws", jensen_draws)
     report = run_estimator_experiment(instance)
     rng = Rng(instance.seed, ("jensen",))
     violations = 0

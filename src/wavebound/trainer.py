@@ -61,7 +61,7 @@ from .nn import ModelParams, _backward_from, _forward_flat, new_forecaster
 from .nn import mlp_backward_batch, mlp_forward_batch  # noqa: F401
 from .objectives import ObjectiveKind, RiskMatrix, _risk, _signs, _value_and_descent
 from .objectives import objective_mask, objective_value, per_element_risk  # noqa: F401
-from .rng import Rng
+from .rng import Rng, _check_integer
 
 EVAL_NETWORKS = ("source", "target")
 
@@ -106,6 +106,7 @@ class TrainConfig:
             raise ConfigError(f"eval_network must be one of {EVAL_NETWORKS}")
         if not isinstance(self.objective, ObjectiveKind):
             raise ConfigError("objective must be an ObjectiveKind")
+        _check_integer("seed", self.seed)
 
 
 @dataclass

@@ -50,6 +50,19 @@ def test_negative_seed_rejected(seed):
         Rng(seed)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), "4"])
+def test_non_integral_seed_rejected(seed):
+    # int(seed) would run 1.5 as seed 1 and True as seed 1
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got "):
+        Rng(seed)
+
+
+def test_numpy_integer_seed_is_that_seed():
+    for seed in (np.int64(9), np.uint32(9), np.int8(9)):
+        assert np.array_equal(Rng(seed).normal(size=4), Rng(9).normal(size=4))
+        assert type(Rng(seed).seed) is int
+
+
 def test_negative_key_rejected():
     with pytest.raises(ValueError):
         Rng(1).split(-4)

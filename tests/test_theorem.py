@@ -19,7 +19,8 @@ from wavebound import (
     true_risk,
     wave_elementwise,
 )
-from wavebound.theorem import OracleReport
+from wavebound.objectives import flood_elementwise
+from wavebound.theorem import OracleReport, _jensen_sides
 
 
 def make_population(m=2, k=2, coeff=1.0, noise=0.5):
@@ -157,6 +158,19 @@ class TestEstimatorExperiment:
             with pytest.raises(ConfigError):
                 OracleInstance(**{**good, **bad})
 
+    @pytest.mark.parametrize("key", ["n_samples", "trials", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(2.0), "3"])
+    def test_non_integral_count_or_seed_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be .*integer.*, got "):
+            self.small_instance(**{key: value})
+
+    def test_numpy_integers_run_as_their_values(self):
+        want = run_estimator_experiment(self.small_instance(n_samples=4, trials=9, seed=3))
+        got = run_estimator_experiment(
+            self.small_instance(n_samples=np.int32(4), trials=np.int64(9), seed=np.uint64(3))
+        )
+        assert got.to_dict() == want.to_dict()
+
 
 def per_trial_estimator(instance: OracleInstance) -> OracleReport:
     """The estimator as one loop pass per trial, each a `sample` call on the one stream.
@@ -265,6 +279,15 @@ class TestChunkedEstimator:
             want = per_trial_estimator(instance).to_dict()
             assert run_estimator_experiment(instance).to_dict() == want, trials
 
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 5)])
+    def test_matches_per_trial_loop_past_the_pairwise_block(self, shape):
+        # n = 200 is past numpy's 128-element pairwise block.  A trial sums
+        # its n squares pairwise when M*K == 1 and row by row otherwise, and
+        # its M*K risks pairwise once M*K >= 8: a layout that summed either
+        # row by row always would differ here.
+        instance = varied_instance(shape, 0.01, 200, 129, 2024)
+        assert run_estimator_experiment(instance).to_dict() == per_trial_estimator(instance).to_dict()
+
     def test_grid_exercises_every_branch(self):
         # The comparison above means something only if flips, condition-(b)
         # violations and margin counts occur in it.
@@ -288,7 +311,54 @@ class TestChunkedEstimator:
         assert peak < 2 * 2**20, peak
 
 
+def loop_jensen_sides(source_pred, target_pred, targets, sizes, epsilon, flood_b):
+    """The batch-mean bound sides as one pass per batch, with tensordot pools.
+
+    This is the form `_jensen_sides` replaced; it stays here as the reference
+    that the stacked form must match bit for bit.
+    """
+    weights = np.array(sizes, dtype=np.float64) / sum(sizes)
+    src, tgt = [], []
+    start = 0
+    for size in sizes:
+        stop = start + size
+        err_s = source_pred[start:stop] - targets[start:stop]
+        err_t = target_pred[start:stop] - targets[start:stop]
+        src.append((err_s * err_s).mean(axis=0))
+        tgt.append((err_t * err_t).mean(axis=0))
+        start = stop
+    src = np.stack(src)  # (T, M, K)
+    tgt = np.stack(tgt)
+    pooled_src = np.tensordot(weights, src, axes=1)
+    pooled_tgt = np.tensordot(weights, tgt, axes=1)
+    lhs = wave_elementwise(pooled_src, pooled_tgt, epsilon)
+    rhs = np.tensordot(weights, wave_elementwise(src, tgt, epsilon), axes=1)
+    lhs_flood = float(flood_elementwise(pooled_src.mean(), flood_b))
+    rhs_flood = float(
+        sum(w * float(flood_elementwise(s.mean(), flood_b)) for w, s in zip(weights, src))
+    )
+    return lhs, rhs, lhs_flood, rhs_flood
+
+
 class TestJensenAudit:
+    def test_sides_match_loop_form(self):
+        gen = np.random.default_rng(11)
+        for shape in ((1, 1), (3, 2), (4, 5), (2, 7)):
+            for _ in range(150):
+                n = int(gen.integers(1, 60))
+                cuts = np.sort(gen.choice(np.arange(1, n), size=int(gen.integers(0, n)), replace=False))
+                sizes = np.diff(np.concatenate([[0], cuts, [n]])).tolist()
+                source, target, truth = gen.normal(size=(3, n, *shape))
+                epsilon, flood_b = gen.uniform(0, 0.5), gen.uniform(0, 2)
+                args = source, target, truth, sizes, epsilon, flood_b
+                lhs, rhs, lhs_flood, rhs_flood = _jensen_sides(*args)
+                want = loop_jensen_sides(*args)
+                assert lhs.tobytes() == want[0].tobytes(), (shape, sizes)
+                assert rhs.tobytes() == want[1].tobytes(), (shape, sizes)
+                assert lhs_flood.hex() == want[2].hex(), (shape, sizes)
+                assert rhs_flood.hex() == want[3].hex(), (shape, sizes)
+
+
     def setup_data(self, n=24, seed=5):
         pop = make_population()
         x, y = sample(pop, n, Rng(seed))
@@ -340,6 +410,11 @@ class TestJensenAudit:
 
 
 class TestFullOracle:
+    @pytest.mark.parametrize("draws", [2.5, 1.0, True, "2", -1])
+    def test_non_integral_or_negative_jensen_draws_rejected(self, draws):
+        with pytest.raises(ConfigError, match="^jensen_draws must be a non-negative integer, got "):
+            run_full_oracle(reference_instance(trials=5), jensen_draws=draws)
+
     def test_full_oracle_populates_jensen_count(self):
         report = run_full_oracle(reference_instance(trials=50), jensen_draws=5)
         assert report.jensen_violations == 0

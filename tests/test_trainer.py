@@ -156,6 +156,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
             train(make_config(ObjectiveKind.plain(), seed=-1), *SETS)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integral_seed_rejected_by_the_config(self, seed):
+        with pytest.raises(ConfigError, match=f"seed must be a non-negative integer, got {seed}"):
+            make_config(ObjectiveKind.plain(), seed=seed)
+
 
 class TestTrajectoryIdentities:
     def test_zero_learning_rate_freezes_params(self):
