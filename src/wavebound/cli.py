@@ -2,8 +2,9 @@
 
 Configuration is a flat key=value text file (blank lines and '#' comments
 ignored); any key can be overridden on the command line with repeated
-`--set KEY=VALUE` flags, and flags win.  Every key is parsed by its type
-before --out is touched, so a malformed value creates nothing.  Every run
+`--set KEY=VALUE` flags, and flags win.  Every key is parsed by its kind and
+checked against its bound, both declared in `config`, before --out is
+touched, so a malformed or out-of-bound value creates nothing.  Every run
 writes the fully resolved configuration next to its outputs, and all
 output files are byte-identical across reruns with the same inputs
 (wall-clock timing goes to stderr only).  A run's files appear in --out
@@ -29,8 +30,8 @@ import time
 import numpy as np
 
 from .checkpoint import checkpoint_load, checkpoint_save
+from .config import THEOREM, TRAIN
 from .data import (
-    SplitSpec,
     atomic_open,
     load_csv,
     save_csv,
@@ -45,71 +46,9 @@ from .data import (
 from .errors import ConfigError, DataError, NumericError, WaveboundError
 from .evaluation import evaluate, generalization_gap
 from .objectives import ObjectiveKind
-from .theorem import LinearGaussianPopulation, OracleInstance, run_full_oracle
-from .trainer import SWEEP_PARAMS, TrainConfig, sweep, sweep_configs, train
+from .theorem import INSTANCE_KEYS, LinearGaussianPopulation, OracleInstance, run_full_oracle
+from .trainer import CONFIG_KEYS, SWEEP_PARAMS, TrainConfig, sweep, sweep_configs, train
 
-
-def _boolean(text: str) -> bool:
-    value = text.lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ValueError(text)
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
-
-
-# key -> (default text, parser); a parser's ValueError is reported with EXPECTED
-TRAIN_DEFAULTS = {
-    "data": ("synth", str),  # synth | csv
-    "length": ("2000", int),  # synth series length
-    "sigma": ("0.5", float),  # synth noise level
-    "data_seed": ("7", _seed),  # synth noise seed
-    "csv_path": ("", str),
-    "feature": ("", str),  # univariate column name; empty = last column
-    "univariate": ("true", _boolean),
-    "ratios": ("6:2:2", SplitSpec.parse),
-    "standardize": ("true", _boolean),
-    "input_len": ("96", int),
-    "output_len": ("96", int),
-    "hidden_dim": ("64", int),
-    "objective": ("plain", str),
-    "b": ("0.0", float),
-    "epsilon": ("0.01", float),
-    "batch_size": ("32", int),
-    "learning_rate": ("0.0001", float),
-    "ema_decay": ("0.99", float),
-    "max_epochs": ("30", int),
-    "patience": ("3", int),
-    "seed": ("0", _seed),
-    "eval_network": ("target", str),
-}
-
-THEOREM_DEFAULTS = {
-    "rows": ("3", int),
-    "cols": ("2", int),
-    "true_coeff": ("1.0", float),
-    "noise_std": ("0.5", float),
-    "input_std": ("1.0", float),
-    "g_offset": ("0.5", float),  # evaluated predictor = truth + offset
-    "g_star_offset": ("0.0", float),  # reference predictor = truth + offset
-    "epsilon": ("0.01", float),
-    "n_samples": ("25", int),
-    "trials": ("20000", int),
-    "margin_alpha": ("0.05", float),
-    "seed": ("2024", _seed),
-    "jensen_draws": ("10", int),
-}
-
-EXPECTED = {
-    int: "an integer", _seed: "a non-negative integer", float: "a number", _boolean: "true/false",
-}
 
 SPLITS = ("train", "val", "test")
 METRICS_HEADER = ("split", "mse", "mae", "samples")
@@ -144,23 +83,16 @@ def _load_config_file(path) -> dict[str, str]:
     )
 
 
-def _resolve(defaults: dict, config_path, sets) -> tuple[dict[str, str], dict]:
-    """Resolved text of every key, as resolved_config.txt keeps it, and its parsed value."""
-    text = {key: default for key, (default, _) in defaults.items()}
+def _resolve(keys: dict, config_path, sets) -> tuple[dict[str, str], dict]:
+    """Resolved text of every key, as resolved_config.txt keeps it, and its checked value."""
+    text = {name: key.default for name, key in keys.items()}
     overrides = _load_config_file(config_path) if config_path else {}
     overrides.update(_split_pair(pair, "--set expects") for pair in sets or [])
-    unknown = sorted(set(overrides) - set(defaults))
+    unknown = sorted(set(overrides) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     text.update(overrides)
-    values = {}
-    for key, (_, parse) in defaults.items():
-        try:
-            values[key] = parse(text[key])
-        except ValueError:
-            raise ConfigError(
-                f"config key {key} must be {EXPECTED[parse]}, got {text[key]!r}") from None
-    return text, values
+    return text, {name: key.read(text[name], f"config key {name}") for name, key in keys.items()}
 
 
 def _write_text(path, text: str) -> None:
@@ -247,55 +179,28 @@ def _commit(stage, out_dir) -> None:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        input_len=cfg["input_len"],
-        output_len=cfg["output_len"],
-        objective=ObjectiveKind(cfg["objective"], b=cfg["b"], epsilon=cfg["epsilon"]),
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        ema_decay=cfg["ema_decay"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-        hidden_dim=cfg["hidden_dim"],
-        eval_network=cfg["eval_network"],
-    )
+    objective = ObjectiveKind(cfg["objective"], b=cfg["b"], epsilon=cfg["epsilon"])
+    return TrainConfig(objective=objective, **{key.name: cfg[key.name] for key in CONFIG_KEYS})
 
 
 def _oracle_instance(cfg: dict) -> OracleInstance:
     shape = (cfg["rows"], cfg["cols"])
-    if min(shape) < 1:
-        raise ConfigError(f"rows and cols must be >= 1, got {shape}")
     population = LinearGaussianPopulation(
-        true_map=np.full(shape, cfg["true_coeff"]),
-        noise_std=np.full(shape, cfg["noise_std"]),
-        input_std=cfg["input_std"],
-    )
-    return OracleInstance(
-        population=population,
-        g=population.true_map + cfg["g_offset"],
-        g_star=population.true_map + cfg["g_star_offset"],
-        epsilon=cfg["epsilon"],
-        n_samples=cfg["n_samples"],
-        trials=cfg["trials"],
-        margin_alpha=cfg["margin_alpha"],
-        seed=cfg["seed"],
-    )
+        np.full(shape, cfg["true_coeff"]), np.full(shape, cfg["noise_std"]), cfg["input_std"])
+    g, g_star = population.true_map + cfg["g_offset"], population.true_map + cfg["g_star_offset"]
+    return OracleInstance(population, g, g_star, **{key.name: cfg[key.name] for key in INSTANCE_KEYS})
 
 
 def _segments(cfg: dict):
     """Config -> the standardized train/val/test segments, each long enough for one window."""
     if cfg["feature"] and not cfg["univariate"]:
         raise ConfigError(f"feature={cfg['feature']} selects one column; it needs univariate=true")
-    source = cfg["data"]
-    if source == "synth":
+    if cfg["data"] == "synth":
         dataset = synth_series(cfg["length"], cfg["sigma"], cfg["data_seed"])
-    elif source == "csv":
-        if not cfg["csv_path"]:
-            raise ConfigError("csv data needs csv_path")
-        dataset = load_csv(cfg["csv_path"])
+    elif not cfg["csv_path"]:
+        raise ConfigError("csv data needs csv_path")
     else:
-        raise ConfigError(f"data must be 'synth' or 'csv', got {source!r}")
+        dataset = load_csv(cfg["csv_path"])
     if cfg["univariate"] and (cfg["feature"] or dataset.n_features > 1):
         dataset = select_feature(dataset, cfg["feature"] or None)
     segments = split_and_standardize(dataset, cfg["ratios"], standardize=cfg["standardize"])
@@ -314,10 +219,13 @@ def _windows(cfg: dict):
     return tuple(stack_windows(windowize(s, *lengths)) for s in _segments(cfg))
 
 
+# synth's flags and the keys that declare them
+SYNTH_FLAGS = {"length": "length", "sigma": "sigma", "seed": "data_seed"}
+
+
 def cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got '{args.seed}'")
-    dataset = synth_series(args.length, args.sigma, args.seed)
+    dataset = synth_series(*(TRAIN[key].read(getattr(args, flag), f"--{flag}")
+                             for flag, key in SYNTH_FLAGS.items()))
     try:
         with _directory(os.path.dirname(os.path.abspath(args.out))):
             save_csv(dataset, args.out)
@@ -328,7 +236,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    text, cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
+    text, cfg = _resolve(TRAIN, args.config, args.set)
     config = _train_config(cfg)
     with _outputs(args.out, text) as path:
         sets = _windows(cfg)
@@ -357,13 +265,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    text, cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
+    text, cfg = _resolve(TRAIN, args.config, args.set)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
-    if not values:
-        raise ConfigError("sweep needs a non-empty --values list")
     config = _train_config(cfg)
     sweep_configs(config, args.param, values, args.workers)  # a bad grid fails before any data
     with _outputs(args.out, text) as path:
@@ -382,7 +288,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    text, cfg = _resolve(TRAIN_DEFAULTS, args.config, args.set)
+    text, cfg = _resolve(TRAIN, args.config, args.set)
     with _outputs(args.out, text) as path:
         params, _mirror = checkpoint_load(args.checkpoint)
         sets = dict(zip(SPLITS, _windows(cfg)))
@@ -402,7 +308,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    text, cfg = _resolve(THEOREM_DEFAULTS, args.config, args.set)
+    text, cfg = _resolve(THEOREM, args.config, args.set)
     instance = _oracle_instance(cfg)
     with _outputs(args.out, text) as path:
         started = time.perf_counter()
@@ -423,19 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic series CSV")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=7)
+    for flag, key in SYNTH_FLAGS.items():
+        p.add_argument(f"--{flag}", required=flag == "length", default=TRAIN[key].default,
+                       help=TRAIN[key].help)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    for name, func, extra in (
-        ("train", cmd_train, ()),
-        ("sweep", cmd_sweep, ("param", "values", "workers")),
-        ("eval", cmd_eval, ("checkpoint", "split")),
-        ("theorem", cmd_theorem, ()),
+    for name, func, keys, extra in (
+        ("train", cmd_train, TRAIN, ()),
+        ("sweep", cmd_sweep, TRAIN, ("param", "values", "workers")),
+        ("eval", cmd_eval, TRAIN, ("checkpoint", "split")),
+        ("theorem", cmd_theorem, THEOREM, ()),
     ):
-        p = sub.add_parser(name, help=f"run the {name} command")
+        epilog = "config keys (default):\n" + "\n".join(
+            f"  {k.name} ({k.default!r})  {k.help}" for k in keys.values())
+        p = sub.add_parser(name, help=f"run the {name} command", epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable; wins over the file)")

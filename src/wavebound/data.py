@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import TRAIN, SplitSpec
 from .errors import ConfigError, DataError
 from .rng import Rng
 
@@ -96,51 +97,14 @@ class WindowSet:
         return self.past.shape[0]
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological train/validation/test ratios, e.g. (0.6, 0.2, 0.2)."""
-
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
-
-    def __post_init__(self):
-        if len(self.ratios) != 3:
-            raise ConfigError("need exactly three split ratios")
-        if not all(0 < r < np.inf for r in self.ratios):
-            raise ConfigError(f"split ratios must be positive and finite, got {self.ratios}")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios must sum to 1, got {self.ratios}")
-
-    @classmethod
-    def parse(cls, text: str) -> "SplitSpec":
-        """Parse colon-separated weights like "6:2:2" or "7:1:2"."""
-        try:
-            parts = [float(p) for p in text.split(":")]
-        except ValueError:
-            raise ConfigError(f"cannot parse split ratios {text!r}") from None
-        if len(parts) != 3 or not all(0 < p < np.inf for p in parts):
-            raise ConfigError(f"split ratios need three positive finite parts, got {text!r}")
-        total = sum(parts)
-        return cls((parts[0] / total, parts[1] / total, parts[2] / total))
-
-    def boundaries(self, total: int) -> tuple[int, int]:
-        """Row indices ending the train and validation segments."""
-        a = round(total * self.ratios[0])
-        b = round(total * (self.ratios[0] + self.ratios[1]))
-        a = min(max(a, 1), total)
-        b = min(max(b, a), total)
-        return a, b
-
-
 def synth_series(length: int, sigma: float, seed: int) -> SeriesDataset:
     """Two superposed sines (periods 32 and 48) plus N(0, sigma^2) noise.
 
     f(t) = 2*sin(2*pi*t/32) + sin(2*pi*t/48) + sigma*z_t for t = 0..length-1.
     The noiseless series is exactly periodic with period 96.
     """
-    if length < 1:
-        raise ConfigError("length must be >= 1")
-    if not 0 <= sigma < np.inf:
-        raise ConfigError(f"sigma must be finite and >= 0, got {sigma!r}")
+    TRAIN["length"].check(length)
+    TRAIN["sigma"].check(sigma)
     t = np.arange(length, dtype=np.float64)
     clean = 2.0 * np.sin(2.0 * np.pi * t / 32.0) + np.sin(2.0 * np.pi * t / 48.0)
     noise = sigma * Rng(seed).normal(size=length)
@@ -378,8 +342,8 @@ def windowize(segment: SeriesDataset, input_len: int, output_len: int) -> Window
 
     The windows are read-only views of `segment.values`; nothing is copied.
     """
-    if input_len < 1 or output_len < 1:
-        raise ConfigError("window lengths must be >= 1")
+    TRAIN["input_len"].check(input_len)
+    TRAIN["output_len"].check(output_len)
     values = segment.values
     span = input_len + output_len
     if values.shape[0] < span:
@@ -446,8 +410,7 @@ def batch_indices(
     count: int, batch_size: int, rng: Rng | None = None, shuffle: bool = False
 ) -> list[np.ndarray]:
     """Index arrays covering range(count); the final short batch is kept."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
+    TRAIN["batch_size"].check(batch_size)
     if count < 1:
         raise DataError("cannot batch an empty window set")
     if shuffle:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TRAIN
 from .errors import ConfigError
 from .nn import BLOCK, ModelParams, blocks
 
@@ -27,8 +28,7 @@ class EmaMirror:
 
 
 def ema_init(source: ModelParams, decay: float) -> EmaMirror:
-    if not 0.0 <= decay <= 1.0:
-        raise ConfigError(f"decay must lie in [0, 1], got {decay}")
+    TRAIN["ema_decay"].check(decay)
     return EmaMirror(target=source.copy(), decay=decay)
 
 

@@ -40,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TRAIN
 from .errors import ConfigError
-
-OBJECTIVE_KINDS = ("plain", "flooding", "constant_flooding", "wave_avg", "wave_indiv")
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,9 @@ class ObjectiveKind:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise ConfigError(f"objective must be one of {OBJECTIVE_KINDS}, got {self.kind!r}")
-        # Written so that NaN fails too; epsilon = +inf stays legal (bound -inf).
-        if not self.b >= 0.0:
-            raise ConfigError(f"flood level b must be >= 0, got {self.b!r}")
-        if not np.isfinite(self.b):
-            raise ConfigError(f"flood level b must be finite, got {self.b!r}")
-        if not self.epsilon >= 0.0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        TRAIN["objective"].check(self.kind)
+        TRAIN["b"].check(self.b)
+        TRAIN["epsilon"].check(self.epsilon)  # +inf is legal: the bound is then -inf
 
     @classmethod
     def plain(cls) -> "ObjectiveKind":

@@ -19,7 +19,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import TRAIN
 
 
 def _key_part(part) -> int:
@@ -32,22 +32,11 @@ def _key_part(part) -> int:
     return value
 
 
-def _check_integer(name: str, value, low: int = 0) -> int:
-    """value as an int; ConfigError unless it is a Python or numpy integer >= low.
-
-    A bool is refused: it is an int to Python, but never a count or a seed.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        what = "a non-negative integer" if low == 0 else f"an integer >= {low}"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return int(value)
-
-
 class Rng:
     """Deterministic random stream: PCG64 keyed by (seed, spawn_key)."""
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
-        self.seed = _check_integer("seed", seed)
+        self.seed = int(TRAIN["seed"].check(seed))
         self.spawn_key = tuple(_key_part(k) for k in spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(seq))
@@ -60,6 +49,7 @@ class Rng:
         return self._gen.uniform(low, high, size=size)
 
     def normal(self, size=None) -> np.ndarray:
+        """Standard normal draws: `Generator.standard_normal`, the values of `normal(0, 1)`."""
         return self._gen.standard_normal(size=size)
 
     def integers(self, low: int, high: int, size=None):

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import THEOREM
 from .data import atomic_open, batch_indices
 from .errors import ConfigError
 from .objectives import _mean_squares, flood_elementwise, wave_elementwise
-from .rng import Rng, _check_integer
+from .rng import Rng
 
 CHUNK = 128  # oracle trials drawn and scored together: bounds the working set
 
@@ -65,8 +66,7 @@ class LinearGaussianPopulation:
             raise ConfigError(f"population matrices must be non-empty, got {self.true_map.shape}")
         if not _all_finite(self.true_map, self.noise_std):
             raise ConfigError("population parameters must be finite")
-        if not 0 < self.input_std < np.inf:
-            raise ConfigError(f"input_std must be finite and > 0, got {self.input_std!r}")
+        THEOREM["input_std"].check(self.input_std)
         if (self.noise_std < 0).any():
             raise ConfigError("noise_std entries must be >= 0")
         variance = (self.true_map * self.input_std) ** 2 + self.noise_std**2
@@ -127,13 +127,11 @@ class OracleInstance:
             raise ConfigError("predictor coefficient shapes must match the population")
         if not _all_finite(self.g, self.g_star):
             raise ConfigError("predictor coefficients must be finite")
-        if not self.epsilon >= 0:  # NaN fails too; epsilon = +inf stays legal
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
-        _check_integer("n_samples", self.n_samples, 1)
-        _check_integer("trials", self.trials, 1)
-        _check_integer("seed", self.seed)
-        if not 0 < self.margin_alpha < np.inf:
-            raise ConfigError(f"margin_alpha must be finite and > 0, got {self.margin_alpha!r}")
+        for key in INSTANCE_KEYS:
+            key.check(getattr(self, key.name))
+
+
+INSTANCE_KEYS = tuple(THEOREM[f.name] for f in fields(OracleInstance) if f.name in THEOREM)
 
 
 @dataclass
@@ -371,7 +369,7 @@ def reference_instance(trials: int = 20000, seed: int = 2024) -> OracleInstance:
 
 def run_full_oracle(instance: OracleInstance, jensen_draws: int = 10) -> OracleReport:
     """Estimator experiment plus randomized batch-mean bound audits."""
-    _check_integer("jensen_draws", jensen_draws)
+    THEOREM["jensen_draws"].check(jensen_draws)
     report = run_estimator_experiment(instance)
     rng = Rng(instance.seed, ("jensen",))
     violations = 0

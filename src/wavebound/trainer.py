@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adam import adam_init, adam_step
+from .config import TRAIN
 from .data import (
     SeriesDataset,
     atomic_open,
@@ -61,9 +62,7 @@ from .nn import ModelParams, _backward_from, _forward_flat, new_forecaster
 from .nn import mlp_backward_batch, mlp_forward_batch  # noqa: F401
 from .objectives import ObjectiveKind, RiskMatrix, _risk, _signs, _value_and_descent
 from .objectives import objective_mask, objective_value, per_element_risk  # noqa: F401
-from .rng import Rng, _check_integer
-
-EVAL_NETWORKS = ("source", "target")
+from .rng import Rng
 
 
 @dataclass
@@ -71,42 +70,30 @@ class TrainConfig:
     input_len: int
     output_len: int
     objective: ObjectiveKind
-    batch_size: int = 32
-    learning_rate: float = 1e-4
-    ema_decay: float = 0.99
-    max_epochs: int = 30
-    patience: int = 3
-    seed: int = 0
-    hidden_dim: int = 64
-    eval_network: str = "target"
+    batch_size: int = TRAIN["batch_size"].value
+    learning_rate: float = TRAIN["learning_rate"].value
+    ema_decay: float = TRAIN["ema_decay"].value
+    max_epochs: int = TRAIN["max_epochs"].value
+    patience: int = TRAIN["patience"].value
+    seed: int = TRAIN["seed"].value
+    hidden_dim: int = TRAIN["hidden_dim"].value
+    eval_network: str = TRAIN["eval_network"].value
     # Diagnostic: replace the target network's risk with this constant, so
     # bound objectives can be driven with a frozen bound.
     frozen_target_risk: float | None = None
 
     def __post_init__(self):
-        if self.input_len < 1 or self.output_len < 1:
-            raise ConfigError("window lengths must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not self.learning_rate >= 0:  # NaN fails too
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
-        if not np.isfinite(self.learning_rate):
-            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate!r}")
-        if not 0.0 <= self.ema_decay <= 1.0:  # NaN fails too
-            raise ConfigError(f"ema_decay must lie in [0, 1], got {self.ema_decay!r}")
-        if self.frozen_target_risk is not None and not np.isfinite(self.frozen_target_risk):
-            raise ConfigError(f"frozen_target_risk must be finite, got {self.frozen_target_risk!r}")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be >= 1")
-        if self.eval_network not in EVAL_NETWORKS:
-            raise ConfigError(f"eval_network must be one of {EVAL_NETWORKS}")
         if not isinstance(self.objective, ObjectiveKind):
             raise ConfigError("objective must be an ObjectiveKind")
-        _check_integer("seed", self.seed)
+        for key in CONFIG_KEYS:
+            key.check(getattr(self, key.name))
+        if self.frozen_target_risk is not None and not np.isfinite(self.frozen_target_risk):
+            raise ConfigError(f"frozen_target_risk must be finite, got {self.frozen_target_risk!r}")
+
+
+# TrainConfig's declared keys; its `objective` holds an ObjectiveKind, which checks its own.
+CONFIG_KEYS = tuple(TRAIN[f.name] for f in dataclasses.fields(TrainConfig)
+                    if f.name in TRAIN and f.name != "objective")
 
 
 @dataclass

@@ -471,7 +471,7 @@ class TestTheorem:
 
 
 class TestMalformedConfig:
-    """Every key is parsed before --out is touched, even one the command ignores."""
+    """Every key is parsed and bound-checked before --out is touched, even one the command ignores."""
 
     @pytest.mark.parametrize(
         "command,setting,message",
@@ -488,6 +488,14 @@ class TestMalformedConfig:
             ("train", "data_seed=-1",
              "config key data_seed must be a non-negative integer, got '-1'"),
             ("sweep", "seed=x", "config key seed must be a non-negative integer, got 'x'"),
+            ("train", "batch_size=0", "batch_size must be >= 1, got 0"),
+            ("train", "length=0", "length must be >= 1, got 0"),
+            ("theorem", "jensen_draws=-1",
+             "config key jensen_draws must be a non-negative integer, got '-1'"),
+            ("theorem", "rows=0", "rows must be >= 1, got 0"),
+            ("train", "data=xls", "config key data must be one of ('synth', 'csv'), got 'xls'"),
+            ("eval", "eval_network=both",
+             "config key eval_network must be one of ('source', 'target'), got 'both'"),
         ],
     )
     def test_exits_2_and_leaves_no_out(self, tmp_path, capsys, command, setting, message):
@@ -711,7 +719,8 @@ class TestSweepGridCheckedFirst:
         ["--param", "epsilon", "--values", "0.1", "--set", "objective=flooding"],
         ["--param", "learning_rate", "--values", "0.001,-1"],
         ["--param", "learning_rate", "--values", "0.001", "--workers", "0"],
-    ], ids=["b-on-plain", "epsilon-on-flooding", "negative-rate", "no-workers"])
+        ["--param", "learning_rate", "--values", ","],
+    ], ids=["b-on-plain", "epsilon-on-flooding", "negative-rate", "no-workers", "empty-grid"])
     def test_fails_before_the_data(self, tmp_path, capsys, monkeypatch, args):
         loads = []
         monkeypatch.setattr("wavebound.cli._segments", lambda cfg: loads.append(cfg))

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from wavebound.cli import main
-from wavebound.objectives import OBJECTIVE_KINDS
+from wavebound.config import EVAL_NETWORKS, OBJECTIVE_KINDS
 
 GOLDEN_PATH = Path(__file__).with_name("golden_fingerprints.json")
 
@@ -43,7 +43,6 @@ TRAIN_ARGS = [
     "--set", "epsilon=0.01",
 ]
 TRAIN_FILES = ("train_log.csv", "train_log.jsonl", "metrics.csv", "model.ckpt")
-EVAL_NETWORKS = ("source", "target")
 
 
 def host() -> dict:
